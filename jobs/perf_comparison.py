@@ -10,6 +10,7 @@ import json
 import os
 import sys
 
+from _session import get_session  # first: puts src/ on the path
 from repro.graphs.datasets import make_context
 from repro.query.queries import QUERIES
 from repro.tables import perf_rows, print_rows
@@ -43,8 +44,6 @@ def main(spark, dataset: str, scale: str = "lite", budget_mb: float | None = 256
 
 
 if __name__ == "__main__":
-    from _session import get_session
-
     ds = sys.argv[1] if len(sys.argv) > 1 else "dblp"
     sc = sys.argv[2] if len(sys.argv) > 2 else "lite"
     bm = float(sys.argv[3]) if len(sys.argv) > 3 else 256.0

@@ -5,6 +5,7 @@ vs RanS (random star decomposition) and RanM (random minimum-round).
 """
 import sys
 
+from _session import get_session  # first: puts src/ on the path
 from repro.graphs.datasets import make_context
 from repro.tables import plan_effectiveness_rows, print_rows
 
@@ -18,8 +19,6 @@ def main(spark, dataset: str = "dblp", scale: str = "lite", m: int = 10) -> list
 
 
 if __name__ == "__main__":
-    from _session import get_session
-
     main(
         get_session("plan-effect"),
         sys.argv[1] if len(sys.argv) > 1 else "dblp",

@@ -4,6 +4,7 @@
 """
 import sys
 
+import _session  # noqa: F401  (first: puts src/ on the path)
 from repro.papernumbers import TABLE1
 from repro.tables import print_rows, table1_rows
 

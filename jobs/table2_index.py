@@ -4,6 +4,7 @@
 """
 import sys
 
+from _session import get_session  # first: puts src/ on the path
 from repro.papernumbers import TABLE2
 from repro.tables import print_rows, table2_rows
 
@@ -20,8 +21,6 @@ def main(spark, scale: str = "lite", out_dir: str = "results/crystal_index") -> 
 
 
 if __name__ == "__main__":
-    from _session import get_session
-
     main(
         get_session("table2-index"),
         sys.argv[1] if len(sys.argv) > 1 else "lite",

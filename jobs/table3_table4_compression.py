@@ -5,6 +5,7 @@ intermediates) on RoadNet-lite (Table 3) and DBLP-lite (Table 4).
 """
 import sys
 
+from _session import get_session  # first: puts src/ on the path
 from repro.graphs.datasets import make_context
 from repro.papernumbers import TABLE3_ROADNET_MB, TABLE4_DBLP_GB
 from repro.tables import compression_rows, print_rows
@@ -29,6 +30,4 @@ def main(spark, scale: str = "lite", m: int = 10) -> dict[str, list[dict]]:
 
 
 if __name__ == "__main__":
-    from _session import get_session
-
     main(get_session("compression"), sys.argv[1] if len(sys.argv) > 1 else "lite")

@@ -32,7 +32,6 @@ def run_rads(
     *,
     bytes_budget: int | None = None,
     group_mem_bytes: int | None = None,
-    sequential_groups: bool = False,
     use_sme: bool = True,
     measure_compression: bool = False,
 ) -> tuple[DataFrame | None, RunMetrics]:
@@ -81,7 +80,6 @@ def run_rads(
         gc, pattern, plan, rest, metrics,
         bytes_budget=bytes_budget,
         groups=groups,
-        sequential_groups=sequential_groups,
         measure_compression=measure_compression,
     )
     if dist_df is None:

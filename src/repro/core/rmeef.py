@@ -2,7 +2,8 @@
 
 The distributed rounds as a Catalyst dataflow. Each embedding row
 carries its *home machine* ``m`` (owner of the start vertex) and region
-group ``g``. Per unit of the execution plan:
+group ``g``; all region groups run in one dataflow keyed by ``(m, g)``.
+Per unit of the execution plan:
 
 Expand   — join on the pivot's adjacency, one leaf at a time, applying
            degree / injectivity / symmetry-breaking filters and the
@@ -16,17 +17,19 @@ Verify & Filter — distinct pending (m, v, v') pairs are the verifyE
            *distinct*); failed ECs are filtered.
 
 Communication metering (DESIGN.md §2): fetchV = adjacency bytes of
-newly-fetched foreign pivots (a cache DataFrame persists across rounds,
-as in the paper); verifyE = 17 bytes per distinct pair. Intermediate
-results never shuffle between machines — rows keep their home ``m``
+newly-fetched foreign pivots (a cache DataFrame per (m, g) persists
+across rounds, as in the paper); verifyE = 17 bytes per distinct pair.
+Intermediate results never shuffle between machines — rows keep their home ``m``
 for their whole life, which is the paper's core claim.
 """
 from __future__ import annotations
 
+from collections import Counter
+
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.emtrie import list_bytes, trie_bytes_spark
+from repro.core.emtrie import list_bytes
 from repro.core.metrics import (
     TRIE_NODE_BYTES,
     VERIFY_PAIR_BYTES,
@@ -59,7 +62,6 @@ def run_rmeef(
     *,
     bytes_budget: int | None = None,
     groups: DataFrame | None = None,
-    sequential_groups: bool = False,
     measure_compression: bool = False,
 ) -> DataFrame | None:
     """Run the distributed phase; returns the embedding DataFrame
@@ -84,28 +86,9 @@ def run_rmeef(
 
     metrics.rounds = plan.rounds
     try:
-        gids = (
-            [r["g"] for r in base.select("g").distinct().collect()]
-            if sequential_groups and groups is not None
-            else []
+        out = _run_rounds(
+            gc, pattern, plan, base, metrics, bytes_budget, measure_compression
         )
-        if gids:
-            parts = []
-            for gid in sorted(gids):
-                parts.append(
-                    _run_rounds(
-                        gc, pattern, plan, base.filter(F.col("g") == gid),
-                        metrics, bytes_budget, measure_compression,
-                    )
-                )
-            out = parts[0]
-            for p in parts[1:]:
-                out = out.unionByName(p)
-        else:
-            out = _run_rounds(
-                gc, pattern, plan, base, metrics, bytes_budget,
-                measure_compression,
-            )
     except _Budget as e:
         metrics.failed = True
         metrics.fail_reason = str(e)
@@ -124,8 +107,9 @@ def _run_rounds(
     measure_compression: bool,
 ) -> DataFrame:
     spark = gc.spark
-    cache = spark.createDataFrame([], "m int, v long")  # fetched foreign vertices
-    mo_pos = {u: i for i, u in enumerate(plan.matching_order)}
+    # fetched foreign vertices, per (machine, region group): each group
+    # starts with an empty cache, as if the groups ran one after another
+    cache = spark.createDataFrame([], "m int, g int, v long")
     matched: list[int] = [plan.units[0].piv]
 
     for i in range(plan.rounds):
@@ -135,13 +119,15 @@ def _run_rounds(
         # ---- fetchV: adjacency of foreign pivots, dedup via cache ----
         if i > 0:
             needed = (
-                R.select("m", F.col(_c(p)).alias("v"))
+                R.select("m", "g", F.col(_c(p)).alias("v"))
                 .distinct()
                 .join(F.broadcast(gc.owner), "v")
                 .filter(F.col("machine") != F.col("m"))
-                .select("m", "v")
+                .select("m", "g", "v")
             )
-            new = needed.join(F.broadcast(cache), ["m", "v"], "left_anti").localCheckpoint()
+            new = needed.join(
+                F.broadcast(cache), ["m", "g", "v"], "left_anti"
+            ).localCheckpoint()
             agg = new.join(F.broadcast(gc.degrees), "v").agg(
                 F.count("*").alias("n"), F.coalesce(F.sum("deg"), F.lit(0)).alias("d")
             ).collect()[0]
@@ -197,7 +183,8 @@ def _run_rounds(
                     .drop("__va", "__vb")
                     .withColumn(ex, F.coalesce(F.col(ex), F.lit(False)))
                 )
-                # locally verifiable at m: an endpoint owned by m or cached at m
+                # locally verifiable at m: an endpoint owned by m or in
+                # the (m, g) fetch cache
                 local = (F.col(_o(x)) == F.col("m")) | (F.col(_o(u)) == F.col("m"))
                 if i > 0:  # the fetch cache is empty before round 1
                     R = _with_cached_flag(R, cache, cx, "__cx")
@@ -237,22 +224,26 @@ def _run_rounds(
                 ).alias(f"__t{j}")
             )
         grouped = R.groupBy("m", "g").agg(*aggs).collect()
-        ec_rows = sum(r["__n"] for r in grouped)
-        peak_trie_bytes = max(
-            (
-                sum(r[f"__t{j}"] for j in range(len(cols_mo))) * TRIE_NODE_BYTES
-                for r in grouped
-            ),
-            default=0,
-        )
-        metrics.see_intermediate(ec_rows, len(matched))
+        # memory is per (machine, region group); EL/ET and the peak EC
+        # set are per region group, summed over machines. The start
+        # vertex (first in matching order) fixes m and g, so the (m, g)
+        # prefix counts add up to the group's — or, with g = 0, the
+        # cluster's — trie
+        trie_nodes = [sum(r[f"__t{j}"] for j in range(len(cols_mo))) for r in grouped]
+        g_rows: Counter[int] = Counter()
+        g_nodes: Counter[int] = Counter()
+        for r, n in zip(grouped, trie_nodes):
+            g_rows[r["g"]] += r["__n"]
+            g_nodes[r["g"]] += n
+        for rows in g_rows.values():
+            metrics.see_intermediate(rows, len(matched))
+        peak_trie_bytes = max(trie_nodes, default=0) * TRIE_NODE_BYTES
         metrics.extras["peak_group_trie_bytes"] = max(
             metrics.extras.get("peak_group_trie_bytes", 0), peak_trie_bytes
         )
         if measure_compression:
-            cols_mo = [_c(u) for u in plan.matching_order if u in set(matched)]
-            el = list_bytes(ec_rows, len(matched))
-            et = trie_bytes_spark(R, cols_mo)
+            el = list_bytes(max(g_rows.values(), default=0), len(matched))
+            et = max(g_nodes.values(), default=0) * TRIE_NODE_BYTES
             metrics.extras["el_bytes"] = max(metrics.extras.get("el_bytes", 0), el)
             metrics.extras["et_bytes"] = max(metrics.extras.get("et_bytes", 0), et)
         # RADS stores intermediates in the embedding trie (Sec. 5), so
@@ -278,12 +269,12 @@ def _run_rounds(
 
 
 def _with_cached_flag(R: DataFrame, cache: DataFrame, vcol: str, flag: str) -> DataFrame:
-    """Mark rows whose ``vcol`` vertex is in machine m's fetch cache."""
+    """Mark rows whose ``vcol`` vertex is in the (m, g) fetch cache."""
     c = cache.select(
-        F.col("m"), F.col("v").alias(vcol), F.lit(True).alias(flag)
+        "m", "g", F.col("v").alias(vcol), F.lit(True).alias(flag)
     )
-    # the per-machine fetch cache is small relative to embeddings —
+    # the fetch cache is small relative to embeddings —
     # broadcast it like the replicated ownership map
-    return R.join(F.broadcast(c), ["m", vcol], "left").withColumn(
+    return R.join(F.broadcast(c), ["m", "g", vcol], "left").withColumn(
         flag, F.coalesce(F.col(flag), F.lit(False))
     )

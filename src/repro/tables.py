@@ -138,7 +138,6 @@ def _run_engine(
         # budget, as in the paper — groups are RADS's safety margin
         _, met = run_rads(
             gc, pattern, qn, bytes_budget=bytes_budget,
-            sequential_groups=bytes_budget is not None,
             group_mem_bytes=None if bytes_budget is None else bytes_budget // 8,
         )
     elif engine == "psgl":

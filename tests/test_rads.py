@@ -1,9 +1,14 @@
 """RADS integration tests: every query's embedding set must equal the
 DuckDB oracle's, across datasets, partitioners and engine options
-(SM-E on/off, region groups, sequential groups, memory budget)."""
+(SM-E on/off, region groups, memory budget)."""
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core.engine import run_rads
+from repro.core.metrics import RunMetrics
+from repro.core.regions import assign_region_groups_spark
+from repro.core.rmeef import run_rmeef
+from repro.core.sme import split_candidates
 from repro.oracle import assert_equivalent
 from repro.query.plan import choose_plan, random_minround_plan, random_star_plan
 from repro.query.queries import ALL_QUERIES, QUERIES
@@ -59,9 +64,41 @@ def test_rads_region_groups_same_answer(gc_dblp, qn):
     assert met.extras["n_region_groups"] >= gc_dblp.n_machines
 
 
-def test_rads_sequential_groups_same_answer(gc_dblp):
-    met = _check(gc_dblp, "q2", group_mem_bytes=4_000, sequential_groups=True)
-    assert met.extras["n_region_groups"] > 1
+def test_rads_several_groups_per_machine_same_answer(gc_dblp):
+    met = _check(gc_dblp, "q2", group_mem_bytes=4_000)
+    # more groups than machines: some machine holds >= 2 region groups
+    assert met.extras["n_region_groups"] > gc_dblp.n_machines
+
+
+def test_rmeef_grouped_meter_equals_per_group_runs(gc_dblp):
+    """One grouped R-Meef pass meters what running each region group id
+    on its own would: fetchV and verifyE add up (the fetch cache is per
+    (machine, group), so every group starts with an empty one), and the
+    peak intermediate is the largest group's."""
+    p = QUERIES["q5"]  # 3 rounds: the fetch cache is reused across rounds
+    plan = choose_plan(p)
+    c1, rest = split_candidates(gc_dblp, p, plan.units[0].piv)
+    cands = c1.unionByName(rest).localCheckpoint()
+    groups = assign_region_groups_spark(gc_dblp, cands, 8).localCheckpoint()
+    assert groups.select("machine", "g").distinct().count() > gc_dblp.n_machines
+
+    def meter(cands, groups):
+        met = RunMetrics("rads", "q5", gc_dblp.name)
+        assert run_rmeef(gc_dblp, p, plan, cands, met, groups=groups) is not None
+        return met
+
+    whole = meter(cands, groups)
+    parts = []
+    for (gid,) in sorted(groups.select("g").distinct().collect()):
+        g = groups.filter(F.col("g") == gid)
+        parts.append(meter(cands.join(g.select("machine", "v"), ["machine", "v"]), g))
+    assert len(parts) > 1
+    for kind in ("fetchV", "verifyE"):
+        assert whole.comm_breakdown.get(kind, 0) == sum(
+            m.comm_breakdown.get(kind, 0) for m in parts
+        )
+    assert whole.comm_breakdown["fetchV"] > 0
+    assert whole.peak_intermediate_bytes == max(m.peak_intermediate_bytes for m in parts)
 
 
 def test_rads_budget_failure(gc_lj):
@@ -92,7 +129,9 @@ def test_rads_metrics_shape(gc_dblp):
 def test_rads_compression_measured(gc_dblp):
     _, met = run_rads(gc_dblp, QUERIES["q4"], "q4", measure_compression=True)
     el, et = met.extras["el_bytes"], met.extras["et_bytes"]
-    assert el > 0 and et > 0
+    # exact: per-round EL/ET come from the metering aggregate's (m, g)
+    # prefix counts, which must add up to the whole trie
+    assert (el, et) == (140_040, 151_140)
     # 20B/node vs 8B/entry: even with zero prefix sharing ET <= 2.5 EL;
     # ET < EL (the paper's Tables 3-4) emerges at bench scale
     assert et <= 2.5 * el
