@@ -11,6 +11,7 @@ import os
 import sys
 
 from _session import get_session  # first: puts src/ on the path
+from repro.baselines.crystal import build_clique_index
 from repro.graphs.datasets import make_context
 from repro.query.queries import QUERIES
 from repro.tables import perf_rows, print_rows
@@ -30,10 +31,8 @@ def main(spark, dataset: str, scale: str = "lite", budget_mb: float | None = 256
     gc = make_context(spark, dataset, scale, m=m)
     queries = {q: QUERIES[q] for q in DATASET_QUERIES[dataset]}
     budget = int(budget_mb * 1e6) if budget_mb else None
-    rows = perf_rows(
-        gc, queries, bytes_budget=budget,
-        index_dir=f"results/crystal_index/{gc.name}",
-    )
+    index = build_clique_index(gc, f"results/crystal_index/{gc.name}")
+    rows = perf_rows(gc, queries, bytes_budget=budget, crystal_index=index)
     print_rows(rows, f"Performance comparison on {gc.name} (budget={budget_mb}MB)")
     if out_json:
         os.makedirs(os.path.dirname(out_json), exist_ok=True)

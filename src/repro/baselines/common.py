@@ -1,4 +1,4 @@
-"""Shared dataflow pieces for the baseline engines.
+"""Shared cost model and matching order for the baseline engines.
 
 All baselines are *synchronous shuffle* systems: their communication
 model charges every materialized intermediate that crosses the round
@@ -8,16 +8,8 @@ that asymmetry is the paper's headline result.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-
 from repro.core.metrics import VERTEX_BYTES, RunMetrics
-from repro.graphs.datasets import GraphContext
 from repro.query.pattern import Pattern
-
-
-def _c(u: int) -> str:
-    return f"u{u}"
 
 
 def shuffle_bytes(rows: int, width_cols: int, m: int) -> int:
@@ -42,44 +34,6 @@ def bfs_vertex_order(pattern: Pattern, start: int | None = None) -> list[int]:
                 order.append(y)
                 q.append(y)
     return order
-
-
-def attach_vertex(
-    gc: GraphContext,
-    R: DataFrame,
-    pattern: Pattern,
-    matched: list[int],
-    new_u: int,
-    anchor: int,
-) -> DataFrame:
-    """Expand partial embeddings by one query vertex via the anchor's
-    adjacency, applying degree filter, injectivity, *all* edges of the
-    pattern between ``new_u`` and matched vertices, and symmetry
-    breaking. Baselines verify every edge immediately (they hold the
-    whole neighborhood after the shuffle), unlike R-Meef's deferral."""
-    cu, ca = _c(new_u), _c(anchor)
-    e = gc.edges.select(F.col("src").alias(ca), F.col("dst").alias(cu))
-    R = R.join(e, ca)
-    R = (
-        R.join(
-            F.broadcast(
-                gc.degrees.select(F.col("v").alias(cu), F.col("deg").alias("__dg"))
-            ),
-            cu,
-        )
-        .filter(F.col("__dg") >= pattern.degree(new_u))
-        .drop("__dg")
-    )
-    for x in matched:
-        R = R.filter(F.col(cu) != F.col(_c(x)))
-    for w in pattern.adj[new_u]:
-        if w in matched and w != anchor:
-            ew = gc.edges.select(F.col("src").alias(_c(w)), F.col("dst").alias(cu))
-            R = R.join(ew, [_c(w), cu], "left_semi")
-    for a, b in pattern.symmetry_breaking_pairs:
-        if new_u in (a, b) and (a if b == new_u else b) in matched:
-            R = R.filter(F.col(_c(a)) < F.col(_c(b)))
-    return R
 
 
 def check_budget(

@@ -22,7 +22,8 @@ import itertools
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.baselines.common import attach_vertex, check_budget, shuffle_bytes
+from repro.baselines.common import check_budget, shuffle_bytes
+from repro.core.expand import _c, degree_filter, expand
 from repro.core.metrics import RunMetrics
 from repro.graphs.datasets import GraphContext
 from repro.query.pattern import Pattern
@@ -103,22 +104,13 @@ def _core_from_index(
         if any(posn[a] > posn[b] for a, b in sb_in_core):
             continue  # statically violates f(a) < f(b)
         parts.append(
-            df.select(*[F.col(f"c{posn[v]}").alias(f"u{v}") for v in core])
+            df.select(*[F.col(f"c{posn[v]}").alias(_c(v)) for v in core])
         )
     out = parts[0]
     for p in parts[1:]:
         out = out.unionByName(p)
     for v in core:  # degree filter (clique membership only guarantees q-1)
-        out = (
-            out.join(
-                F.broadcast(
-                    gc.degrees.select(F.col("v").alias(f"u{v}"), F.col("deg").alias("__dg"))
-                ),
-                f"u{v}",
-            )
-            .filter(F.col("__dg") >= pattern.degree(v))
-            .drop("__dg")
-        )
+        out = degree_filter(gc, out, _c(v), pattern.degree(v))
     return out
 
 
@@ -146,23 +138,12 @@ def run_crystal(
         a, b = max(
             pattern.edges, key=lambda e: pattern.degree(e[0]) + pattern.degree(e[1])
         )
-        R = gc.edges.select(F.col("src").alias(f"u{a}"), F.col("dst").alias(f"u{b}"))
+        R = gc.edges.select(F.col("src").alias(_c(a)), F.col("dst").alias(_c(b)))
         for v in (a, b):
-            R = (
-                R.join(
-                    F.broadcast(
-                        gc.degrees.select(
-                            F.col("v").alias(f"u{v}"), F.col("deg").alias("__dg")
-                        )
-                    ),
-                    f"u{v}",
-                )
-                .filter(F.col("__dg") >= pattern.degree(v))
-                .drop("__dg")
-            )
+            R = degree_filter(gc, R, _c(v), pattern.degree(v))
         for x, y in pattern.symmetry_breaking_pairs:
             if {x, y} <= {a, b}:
-                R = R.filter(F.col(f"u{x}") < F.col(f"u{y}"))
+                R = R.filter(F.col(_c(x)) < F.col(_c(y)))
         matched = [a, b]
 
     R = R.localCheckpoint()
@@ -187,14 +168,15 @@ def run_crystal(
     for u in order:
         anchor = next(w for w in matched if w in pattern.adj[u])
         metrics.add_comm("shuffle", shuffle_bytes(rows, len(matched), gc.n_machines))
-        R = attach_vertex(gc, R, pattern, matched, u, anchor).localCheckpoint()
+        eager = [w for w in pattern.adj[u] if w in matched and w != anchor]
+        R = expand(gc, R, pattern, matched, u, anchor, eager).localCheckpoint()
         matched.append(u)
         rows = R.count()
         if check_budget(metrics, rows, len(matched), bytes_budget, f"attach {u}", gc.n_machines):
             metrics.elapsed_s = time.perf_counter() - t0
             return None, metrics
 
-    out = R.select(*[f"u{u}" for u in range(pattern.n)])
+    out = R.select(*[_c(u) for u in range(pattern.n)])
     metrics.n_embeddings = rows
     metrics.elapsed_s = time.perf_counter() - t0
     return out, metrics

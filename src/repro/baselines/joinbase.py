@@ -16,13 +16,10 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.baselines.common import check_budget, shuffle_bytes
+from repro.core.expand import _c, expand
 from repro.core.metrics import RunMetrics
 from repro.graphs.datasets import GraphContext
 from repro.query.pattern import Pattern
-
-
-def _c(u: int) -> str:
-    return f"u{u}"
 
 
 @dataclass(frozen=True)
@@ -51,31 +48,11 @@ def build_unit_df(gc: GraphContext, pattern: Pattern, unit: JoinUnit) -> DataFra
     matched = [first]
     ueset = {tuple(sorted(e)) for e in unit.edges}
     for u in vs[1:]:
-        anchor = next(
-            w for w in matched if tuple(sorted((w, u))) in ueset
-        )
-        e = gc.edges.select(F.col("src").alias(_c(anchor)), F.col("dst").alias(_c(u)))
-        R = R.join(e, _c(anchor))
-        R = (
-            R.join(
-                F.broadcast(
-                    gc.degrees.select(F.col("v").alias(_c(u)), F.col("deg").alias("__dg"))
-                ),
-                _c(u),
-            )
-            .filter(F.col("__dg") >= pattern.degree(u))
-            .drop("__dg")
-        )
-        for x in matched:
-            R = R.filter(F.col(_c(u)) != F.col(_c(x)))
-            if x != anchor and tuple(sorted((x, u))) in ueset:
-                ew = gc.edges.select(
-                    F.col("src").alias(_c(x)), F.col("dst").alias(_c(u))
-                )
-                R = R.join(ew, [_c(x), _c(u)], "left_semi")
-        for a, b in pattern.symmetry_breaking_pairs:
-            if u in (a, b) and (a if b == u else b) in matched:
-                R = R.filter(F.col(_c(a)) < F.col(_c(b)))
+        anchor = next(w for w in matched if tuple(sorted((w, u))) in ueset)
+        eager = [
+            x for x in matched if x != anchor and tuple(sorted((x, u))) in ueset
+        ]
+        R = expand(gc, R, pattern, matched, u, anchor, eager)
         matched.append(u)
     return R
 

@@ -14,12 +14,8 @@ import time
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.baselines.common import (
-    attach_vertex,
-    bfs_vertex_order,
-    check_budget,
-    shuffle_bytes,
-)
+from repro.baselines.common import bfs_vertex_order, check_budget, shuffle_bytes
+from repro.core.expand import _c, expand
 from repro.core.metrics import RunMetrics
 from repro.graphs.datasets import GraphContext
 from repro.query.pattern import Pattern
@@ -39,7 +35,7 @@ def run_psgl(
     u0 = order[0]
     R = (
         gc.degrees.filter(F.col("deg") >= pattern.degree(u0))
-        .select(F.col("v").alias(f"u{u0}"))
+        .select(F.col("v").alias(_c(u0)))
         .localCheckpoint()
     )
     rows = R.count()
@@ -49,13 +45,15 @@ def run_psgl(
         # superstep barrier: every partial embedding is re-shuffled
         metrics.add_comm("shuffle", shuffle_bytes(rows, len(matched), gc.n_machines))
         anchor = next(w for w in order if w in matched and w in pattern.adj[u])
-        R = attach_vertex(gc, R, pattern, matched, u, anchor).localCheckpoint()
+        # every pattern edge to a matched vertex is checked on the spot
+        eager = [w for w in pattern.adj[u] if w in matched and w != anchor]
+        R = expand(gc, R, pattern, matched, u, anchor, eager).localCheckpoint()
         matched.append(u)
         rows = R.count()
         if check_budget(metrics, rows, len(matched), bytes_budget, f"expand {u}", gc.n_machines):
             metrics.elapsed_s = time.perf_counter() - t0
             return None, metrics
-    out = R.select(*[f"u{u}" for u in range(pattern.n)])
+    out = R.select(*[_c(u) for u in range(pattern.n)])
     metrics.n_embeddings = rows
     metrics.elapsed_s = time.perf_counter() - t0
     return out, metrics

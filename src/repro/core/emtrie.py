@@ -11,14 +11,15 @@ Two views of the same structure:
   the distinct j+1-prefixes of the result lists in matching order
   (the trie merges equal prefixes, so counting distinct prefixes counts
   nodes without collecting results to the driver). Used by the Table 3/4
-  compression experiment.
+  compression experiment; R-Meef's per-round metering aggregate takes
+  the same rule from :func:`trie_level_aggs`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.metrics import TRIE_NODE_BYTES, VERTEX_BYTES
@@ -127,16 +128,20 @@ def list_bytes(n_rows: int, n_cols: int) -> int:
     return n_rows * n_cols * VERTEX_BYTES
 
 
-def trie_nodes_spark(df: DataFrame, cols: Sequence[str]) -> int:
-    """Exact node count of the merged trie for ``df``'s rows, where
-    ``cols`` are the vertex columns in matching order. One aggregate job:
-    level-j node count = count of distinct (cols[0..j]) prefixes."""
-    aggs = [
-        F.count_distinct(F.struct(*[F.col(c) for c in cols[: j + 1]])).alias(f"l{j}")
+def trie_level_aggs(cols: Sequence[str]) -> list[Column]:
+    """The trie's node rule as aggregates, one per level: ``__t{j}``
+    counts the distinct (cols[0..j]) prefixes, where ``cols`` are the
+    vertex columns in matching order."""
+    return [
+        F.count_distinct(F.struct(*[F.col(c) for c in cols[: j + 1]])).alias(f"__t{j}")
         for j in range(len(cols))
     ]
-    row = df.agg(*aggs).collect()[0]
-    return int(sum(row[f"l{j}"] for j in range(len(cols))))
+
+
+def trie_nodes_spark(df: DataFrame, cols: Sequence[str]) -> int:
+    """Exact node count of the merged trie for ``df``'s rows, where
+    ``cols`` are the vertex columns in matching order (one aggregate job)."""
+    return int(sum(df.agg(*trie_level_aggs(cols)).collect()[0]))
 
 
 def trie_bytes_spark(df: DataFrame, cols: Sequence[str]) -> int:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import time
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.emtrie import list_bytes, trie_bytes_spark
+from repro.core.expand import _c
 from repro.core.metrics import VERTEX_BYTES, RunMetrics
 from repro.core.regions import assign_region_groups_spark
 from repro.core.rmeef import run_rmeef
@@ -86,14 +86,14 @@ def run_rads(
         metrics.elapsed_s = time.perf_counter() - t0
         return None, metrics
 
-    cols = [f"u{u}" for u in range(pattern.n)]
+    cols = [_c(u) for u in range(pattern.n)]
     out = sme_df.select(*cols).unionByName(dist_df.select(*cols)).localCheckpoint()
     metrics.n_embeddings = out.count()
     metrics.extras["dist_embeddings"] = metrics.n_embeddings - n_sme
     if measure_compression:
         # include the final result set (SM-E + distributed) in the
         # EL-vs-ET comparison, stored in matching order like the trie
-        mo_cols = [f"u{u}" for u in plan.matching_order]
+        mo_cols = [_c(u) for u in plan.matching_order]
         el = list_bytes(metrics.n_embeddings, pattern.n)
         et = trie_bytes_spark(out, mo_cols)
         metrics.extras["el_bytes"] = max(metrics.extras.get("el_bytes", 0), el)

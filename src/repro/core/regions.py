@@ -18,8 +18,8 @@ from typing import Iterable
 
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
+from repro.core.sme import per_machine_local
 from repro.graphs.datasets import GraphContext
 
 
@@ -90,35 +90,15 @@ def proximity(adj: dict[int, set[int]], v: int, rg: Iterable[int]) -> float:
 def assign_region_groups_spark(
     gc: GraphContext, candidates: DataFrame, max_group_size: int, seed: int = 0
 ) -> DataFrame:
-    """Per-machine Algorithm 3 via ``applyInPandas``: (machine, v, g).
+    """Per-machine Algorithm 3: (machine, v, g).
 
     Proximity only looks at local adjacency (the machine groups its own
     candidates before any communication happens)."""
-    le = gc.edges_o.filter(F.col("src_m") == F.col("dst_m")).select(
-        F.col("src_m").alias("machine"),
-        F.col("src").alias("a"),
-        F.col("dst").alias("b"),
-        F.lit(0).alias("kind"),
-    )
-    payload = le.unionByName(
-        candidates.select(
-            "machine", F.col("v").alias("a"), F.lit(-1).alias("b"),
-            F.lit(1).alias("kind"),
-        )
-    )
 
-    def run(pdf: pd.DataFrame) -> pd.DataFrame:
-        m = int(pdf["machine"].iloc[0])
-        edges = pdf[pdf["kind"] == 0]
-        cands = [int(v) for v in pdf.loc[pdf["kind"] == 1, "a"]]
-        adj: dict[int, set[int]] = {}
-        for s, d in zip(edges["a"].to_numpy(), edges["b"].to_numpy()):
-            adj.setdefault(int(s), set()).add(int(d))
+    def group_local(m: int, adj: dict[int, set[int]], cands: list[int]):
         groups = greedy_region_groups(adj, cands, max_group_size, seed=seed + m)
         return pd.DataFrame(
             {"machine": m, "v": list(groups), "g": [groups[v] for v in groups]}
         )
 
-    return payload.groupBy("machine").applyInPandas(
-        run, schema="machine int, v long, g int"
-    )
+    return per_machine_local(gc, candidates, group_local, "machine int, v long, g int")

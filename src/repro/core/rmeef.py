@@ -6,7 +6,8 @@ group ``g``; all region groups run in one dataflow keyed by ``(m, g)``.
 Per unit of the execution plan:
 
 Expand   — join on the pivot's adjacency, one leaf at a time, applying
-           degree / injectivity / symmetry-breaking filters and the
+           degree / injectivity / symmetry-breaking filters (the shared
+           step of ``repro.core.expand``), then check the
            *locally-verifiable* verification edges immediately. Edges
            whose existence machine ``m`` cannot see (neither endpoint
            owned nor cached — Definition 4's undetermined edges) pass
@@ -29,7 +30,8 @@ from collections import Counter
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.emtrie import list_bytes
+from repro.core.emtrie import list_bytes, trie_level_aggs
+from repro.core.expand import _c, expand
 from repro.core.metrics import (
     TRIE_NODE_BYTES,
     VERIFY_PAIR_BYTES,
@@ -39,10 +41,6 @@ from repro.core.metrics import (
 from repro.graphs.datasets import GraphContext
 from repro.query.pattern import Pattern
 from repro.query.plan import Plan
-
-
-def _c(u: int) -> str:
-    return f"u{u}"
 
 
 def _o(u: int) -> str:
@@ -141,24 +139,7 @@ def _run_rounds(
         pending: list[tuple[int, int]] = []
         for u in plan.leaf_order(i):
             cu = _c(u)
-            e = gc.edges.select(F.col("src").alias(_c(p)), F.col("dst").alias(cu))
-            R = R.join(e, _c(p))
-            # degree filter (candidate pruning, TurboIso-style)
-            R = (
-                R.join(
-                    F.broadcast(
-                        gc.degrees.select(F.col("v").alias(cu), F.col("deg").alias("__dg"))
-                    ),
-                    cu,
-                )
-                .filter(F.col("__dg") >= pattern.degree(u))
-                .drop("__dg")
-            )
-            for x in matched:  # injectivity
-                R = R.filter(F.col(cu) != F.col(_c(x)))
-            for a, b in pattern.symmetry_breaking_pairs:  # preserved order
-                if u in (a, b) and (a if b == u else b) in matched:
-                    R = R.filter(F.col(_c(a)) < F.col(_c(b)))
+            R = expand(gc, R, pattern, matched, u, p)
             R = R.join(  # ownership of the new vertex (replicated map)
                 F.broadcast(
                     gc.owner.select(F.col("v").alias(cu), F.col("machine").alias(_o(u)))
@@ -217,12 +198,7 @@ def _run_rounds(
                     )
                 ).alias(f"__p_{x}_{u}")
             )
-        for j in range(len(cols_mo)):
-            aggs.append(
-                F.count_distinct(
-                    F.struct(*[F.col(c) for c in cols_mo[: j + 1]])
-                ).alias(f"__t{j}")
-            )
+        aggs += trie_level_aggs(cols_mo)
         grouped = R.groupBy("m", "g").agg(*aggs).collect()
         # memory is per (machine, region group); EL/ET and the peak EC
         # set are per region group, summed over machines. The start

@@ -10,12 +10,13 @@ TurboIso-lite backtracking enumerator inside ``applyInPandas``.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.expand import _c
 from repro.graphs.datasets import GraphContext
 from repro.query.pattern import Pattern
 from repro.query.plan import Plan
@@ -146,38 +147,54 @@ def enumerate_backtracking(
         del f[u0]
 
 
-def sme_enumerate(
-    gc: GraphContext, pattern: Pattern, plan: Plan, c1: DataFrame
+def per_machine_local(
+    gc: GraphContext,
+    candidates: DataFrame,
+    fn: Callable[[int, dict[int, set[int]], list[int]], pd.DataFrame],
+    schema: str,
 ) -> DataFrame:
-    """Run SM-E per machine over C1 via ``applyInPandas``.
-
-    Each machine group receives its local edges plus its C1 candidates
-    and runs the backtracking enumerator over the partition-induced
-    subgraph — no cross-machine data, exactly Prop. 1's promise.
-    Returns embeddings with one column per query vertex (u0..u{n-1}).
-    """
-    order = plan.matching_order
-    n = pattern.n
+    """Run ``fn(machine, adj, cands)`` once per machine via
+    ``applyInPandas``: ``adj`` is the machine's local adjacency (edges
+    with both endpoints on it), ``cands`` its (machine, v) rows of
+    ``candidates``; ``fn`` returns rows of ``schema``. ``fn`` ships to
+    the workers, so it must not capture the unpicklable GraphContext."""
     payload = local_edges(gc).select(
         "machine", F.col("src").alias("a"), F.col("dst").alias("b"),
         F.lit(0).alias("kind"),
     ).unionByName(
-        c1.select(
+        candidates.select(
             "machine", F.col("v").alias("a"), F.lit(-1).alias("b"),
             F.lit(1).alias("kind"),
         )
     )
-    out_schema = ", ".join(f"u{u} long" for u in range(n))
-    # applyInPandas closures must not capture the unpicklable GraphContext
-    pat, mo = pattern, order
 
     def run(pdf: pd.DataFrame) -> pd.DataFrame:
         edges = pdf[pdf["kind"] == 0]
-        cands = pdf.loc[pdf["kind"] == 1, "a"].to_numpy()
         adj: dict[int, set[int]] = {}
         for s, d in zip(edges["a"].to_numpy(), edges["b"].to_numpy()):
             adj.setdefault(int(s), set()).add(int(d))
-        rows = list(enumerate_backtracking(adj, pat, mo, (int(v) for v in cands)))
-        return pd.DataFrame(rows, columns=[f"u{u}" for u in range(n)], dtype="int64")
+        cands = [int(v) for v in pdf.loc[pdf["kind"] == 1, "a"]]
+        return fn(int(pdf["machine"].iloc[0]), adj, cands)
 
-    return payload.groupBy("machine").applyInPandas(run, schema=out_schema)
+    return payload.groupBy("machine").applyInPandas(run, schema=schema)
+
+
+def sme_enumerate(
+    gc: GraphContext, pattern: Pattern, plan: Plan, c1: DataFrame
+) -> DataFrame:
+    """Run SM-E per machine over C1.
+
+    Each machine runs the backtracking enumerator from its C1
+    candidates over its partition-induced subgraph — no cross-machine
+    data, exactly Prop. 1's promise. Returns embeddings with one column
+    per query vertex (u0..u{n-1}).
+    """
+    cols = [_c(u) for u in range(pattern.n)]
+    order = plan.matching_order
+
+    def enumerate_local(machine: int, adj: dict[int, set[int]], cands: list[int]):
+        rows = list(enumerate_backtracking(adj, pattern, order, cands))
+        return pd.DataFrame(rows, columns=cols, dtype="int64")
+
+    schema = ", ".join(f"{c} long" for c in cols)
+    return per_machine_local(gc, c1, enumerate_local, schema)

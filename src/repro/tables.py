@@ -6,8 +6,6 @@ them take the session SparkSession (they never create their own).
 """
 from __future__ import annotations
 
-import time
-
 from pyspark.sql import SparkSession
 
 from repro.baselines.crystal import CliqueIndex, build_clique_index, run_crystal
@@ -104,19 +102,17 @@ def perf_rows(
     *,
     bytes_budget: int | None = None,
     crystal_index: CliqueIndex | None = None,
-    index_dir: str | None = None,
 ) -> list[dict]:
     """Time + simulated communication for each engine × query.
 
     ``bytes_budget`` simulates per-machine memory; engines whose
     intermediates exceed it are recorded as failed (the paper's empty
-    bars). Crystal's offline index is built once (not charged to query
-    time, like the paper)."""
+    bars). Crystal needs ``crystal_index``, its offline index, built by
+    the caller with ``build_clique_index`` (not charged to query time,
+    like the paper)."""
     queries = queries or QUERIES
     if "crystal" in engines and crystal_index is None:
-        crystal_index = build_clique_index(
-            gc, index_dir or f"results/crystal_index/{gc.name}"
-        )
+        raise ValueError("the crystal engine needs a crystal_index")
     rows = []
     for qn, p in queries.items():
         for eng in engines:
