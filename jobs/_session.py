@@ -2,8 +2,9 @@
 
 Jobs are functions over a SparkSession; when launched via spark-submit
 (or plain ``python jobs/<name>.py``) this builds the session with the
-same conventions as conftest.py (broadcast joins disabled so the
-shuffle paths the paper talks about are actually exercised).
+same conventions as conftest.py (automatic broadcast joins disabled;
+joins against the replicated graph tables — edges, ownership, degrees —
+and R-Meef's small fetch cache carry explicit broadcast hints).
 
 Every job imports this module before anything from ``repro``: importing
 it puts the checkout's ``src/`` on ``sys.path`` and on ``PYTHONPATH``,

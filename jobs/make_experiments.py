@@ -117,8 +117,10 @@ round costs a fixed scheduler overhead and the "network" is free, which
 *inverts* the paper's wall-clock ordering: RADS executes several times
 more (tiny) Spark jobs per query than the monolithic join baselines (a
 traced `radsbench` run on DBLP, n = 1200, q1 with 13 region groups:
-R-Meef alone issued 86 jobs while the groups ran one after another and
-44 in one grouped pass, against 22–32 for a whole baseline run), so its
+R-Meef alone issued 86 jobs while the groups ran one after another, 44
+in one grouped pass and 33 once every join against the edge table was
+a broadcast join; the whole RADS call issued 56, against 17–20 for a
+whole baseline run), so its
 `time_s` is scheduler-bound, while the baselines' real cost — moving
 and materializing huge intermediates across machines — costs them
 nothing here. The paper's performance claims are therefore reproduced

@@ -50,32 +50,36 @@ def _dir_bytes(path: str) -> int:
     return total
 
 
+def grow_cliques(gc: GraphContext, max_k: int = 4) -> dict[int, DataFrame]:
+    """Lazy k-clique DataFrames for k = 2..``max_k``, columns c0 < c1 < …:
+    each (k-1)-clique grows by a larger neighbour of its last member that
+    is adjacent to every other member. All joins are against the
+    replicated edge table, so all are broadcast joins."""
+
+    def adj(a: str, b: str) -> DataFrame:
+        return F.broadcast(gc.edges.select(F.col("src").alias(a), F.col("dst").alias(b)))
+
+    canon = gc.edges.filter(F.col("src") < F.col("dst"))
+    dfs = {2: canon.select(F.col("src").alias("c0"), F.col("dst").alias("c1"))}
+    for k in range(3, max_k + 1):
+        last, new = f"c{k - 2}", f"c{k - 1}"
+        grown = dfs[k - 1].join(adj(last, new), last).filter(F.col(new) > F.col(last))
+        for j in range(k - 2):  # new vertex adjacent to every clique member
+            grown = grown.join(adj(f"c{j}", new), [f"c{j}", new], "left_semi")
+        dfs[k] = grown
+    return dfs
+
+
 def build_clique_index(gc: GraphContext, out_dir: str, max_k: int = 4) -> CliqueIndex:
     """Enumerate and persist all k-cliques (k ≤ ``max_k``) of the data
     graph; returns the loaded index with measured parquet sizes."""
     t0 = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
     idx = CliqueIndex()
-    canon = gc.edges.filter(F.col("src") < F.col("dst"))
+    dfs = grow_cliques(gc, max_k)
     gpath = os.path.join(out_dir, "graph.parquet")
-    canon.write.mode("overwrite").parquet(gpath)
+    dfs[2].withColumnsRenamed({"c0": "src", "c1": "dst"}).write.mode("overwrite").parquet(gpath)
     idx.graph_bytes = _dir_bytes(gpath)
-
-    dfs: dict[int, DataFrame] = {2: canon.select(F.col("src").alias("c0"), F.col("dst").alias("c1"))}
-    for k in range(3, max_k + 1):
-        prev = dfs[k - 1]
-        last = f"c{k - 2}"
-        new = f"c{k - 1}"
-        grown = prev.join(
-            gc.edges.select(F.col("src").alias(last), F.col("dst").alias(new)), last
-        ).filter(F.col(new) > F.col(last))
-        for j in range(k - 2):  # new vertex adjacent to every clique member
-            grown = grown.join(
-                gc.edges.select(F.col("src").alias(f"c{j}"), F.col("dst").alias(new)),
-                [f"c{j}", new],
-                "left_semi",
-            )
-        dfs[k] = grown
     for k in range(3, max_k + 1):
         p = os.path.join(out_dir, f"cliques_{k}.parquet")
         dfs[k].write.mode("overwrite").parquet(p)

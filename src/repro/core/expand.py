@@ -47,13 +47,16 @@ def expand(
     only rows where the pattern edge ``(w, u)`` exists for every ``w`` in
     ``eager`` (checked in the caller's order)."""
     cu, ca = _c(u), _c(anchor)
-    R = R.join(gc.edges.select(F.col("src").alias(ca), F.col("dst").alias(cu)), ca)
+    # the edge table is replicated like the ownership map: broadcast
+    # joins keep every row in its partition (no shuffle by the anchor)
+    adj = gc.edges.select(F.col("src").alias(ca), F.col("dst").alias(cu))
+    R = R.join(F.broadcast(adj), ca)
     R = degree_filter(gc, R, cu, pattern.degree(u))
     for x in matched:  # injectivity
         R = R.filter(F.col(cu) != F.col(_c(x)))
     for w in eager:
         ew = gc.edges.select(F.col("src").alias(_c(w)), F.col("dst").alias(cu))
-        R = R.join(ew, [_c(w), cu], "left_semi")
+        R = R.join(F.broadcast(ew), [_c(w), cu], "left_semi")
     for a, b in pattern.symmetry_breaking_pairs:  # preserved order
         if u in (a, b) and (a if b == u else b) in matched:
             R = R.filter(F.col(_c(a)) < F.col(_c(b)))

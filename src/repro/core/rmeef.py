@@ -20,8 +20,11 @@ Verify & Filter — distinct pending (m, v, v') pairs are the verifyE
 Communication metering (DESIGN.md §2): fetchV = adjacency bytes of
 newly-fetched foreign pivots (a cache DataFrame per (m, g) persists
 across rounds, as in the paper); verifyE = 17 bytes per distinct pair.
-Intermediate results never shuffle between machines — rows keep their home ``m``
-for their whole life, which is the paper's core claim.
+Intermediate results never shuffle between machines — rows keep their
+home ``m`` for their whole life, which is the paper's core claim. That
+holds in the Spark plan too: every join against the edge table, the
+ownership map, the degrees and the fetch cache is a broadcast join, so
+EC rows stay in their partitions across expand and verify.
 """
 from __future__ import annotations
 
@@ -157,7 +160,7 @@ def _run_rounds(
                 )
                 R = (
                     R.join(
-                        ee,
+                        F.broadcast(ee),
                         (F.col(cx) == F.col("__va")) & (F.col(cu) == F.col("__vb")),
                         "left",
                     )

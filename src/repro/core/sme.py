@@ -2,11 +2,13 @@
 
 Proposition 1: if ``Span_P(u_start) <= BD(v)`` then every embedding
 mapping u_start→v is entirely local to v's machine, so it can be found
-by a single-machine algorithm over the partition alone. We compute the
-set ``{v : BD(v) <= span-1}`` with a bounded multi-source BFS (iterative
-DataFrame joins over *local* edges, seeded at the border vertices);
-candidates outside it form C1 and are enumerated per machine by a
-TurboIso-lite backtracking enumerator inside ``applyInPandas``.
+by a single-machine algorithm over the partition alone. BD is a fact of
+the partitioned graph, not of the query: ``build_context`` computes it
+once (a multi-source BFS from the border vertices over local edges) and
+stores it as the ``bd`` column of ``gc.degrees``, so the split is one
+filter. Candidates with ``bd < 0`` (no border reachable) or
+``bd >= span`` form C1 and are enumerated per machine by a TurboIso-lite
+backtracking enumerator inside ``applyInPandas``.
 """
 from __future__ import annotations
 
@@ -22,44 +24,11 @@ from repro.query.pattern import Pattern
 from repro.query.plan import Plan
 
 
-def border_vertices(gc: GraphContext) -> DataFrame:
-    """(v, machine) of vertices with at least one foreign neighbor."""
-    return (
-        gc.edges_o.filter(F.col("src_m") != F.col("dst_m"))
-        .select(F.col("src").alias("v"), F.col("src_m").alias("machine"))
-        .distinct()
-    )
-
-
 def local_edges(gc: GraphContext) -> DataFrame:
     """(src, dst, machine): edges whose both endpoints share a machine."""
     return gc.edges_o.filter(F.col("src_m") == F.col("dst_m")).select(
         "src", "dst", F.col("src_m").alias("machine")
     )
-
-
-def vertices_within_border(gc: GraphContext, depth: int) -> DataFrame:
-    """(v,) — vertices whose border distance is <= ``depth``.
-
-    Bounded multi-source BFS from each machine's border over local edges
-    (a shortest path to the border never leaves the partition, so local
-    edges suffice). ``depth`` is span-1, i.e. 0–2 for the paper's
-    queries, so the loop is short.
-    """
-    reached = border_vertices(gc).select("v").distinct().localCheckpoint()
-    frontier = reached
-    le = local_edges(gc).select("src", "dst")
-    for _ in range(depth):
-        nxt = (
-            le.join(frontier.withColumnRenamed("v", "src"), "src")
-            .select(F.col("dst").alias("v"))
-            .distinct()
-        )
-        frontier = nxt.join(reached, "v", "left_anti").localCheckpoint()
-        if frontier.isEmpty():
-            break
-        reached = reached.union(frontier).localCheckpoint()
-    return reached
 
 
 def split_candidates(
@@ -68,18 +37,17 @@ def split_candidates(
     """(C1, C_rest) for the starting query vertex — both (v, machine).
 
     Candidates are owned vertices passing the degree filter. C1 are
-    those with BD >= span (Prop. 1 ⇒ handled by SM-E); the rest go to
-    the distributed R-Meef phase.
+    those with BD >= span or no reachable border (Prop. 1 ⇒ handled by
+    SM-E); the rest go to the distributed R-Meef phase.
     """
-    cand = (
-        gc.degrees.filter(F.col("deg") >= pattern.degree(u_start))
-        .join(F.broadcast(gc.owner), "v")
-        .select("v", "machine")
+    cand = gc.degrees.filter(F.col("deg") >= pattern.degree(u_start)).join(
+        F.broadcast(gc.owner), "v"
     )
-    near = vertices_within_border(gc, pattern.span(u_start) - 1)
-    c1 = cand.join(near, "v", "left_anti")
-    rest = cand.join(near, "v", "left_semi")
-    return c1, rest
+    far = (F.col("bd") < 0) | (F.col("bd") >= pattern.span(u_start))
+    return (
+        cand.filter(far).select("v", "machine"),
+        cand.filter(~far).select("v", "machine"),
+    )
 
 
 # ---------------- backtracking enumerator (TurboIso-lite) ----------------

@@ -4,11 +4,15 @@ Four synthetic analogues of the paper's graphs (DESIGN.md §3), each in
 a ``*_tiny`` (unit tests) and ``*_lite`` (benchmarks) size. The
 GraphContext carries the distributed representation:
 
-* ``edges``       — symmetric edge DataFrame (src, dst), cached
+* ``edges``       — symmetric edge DataFrame (src, dst), cached; small
+                    and replicated like ``owner``, so every join against
+                    it is a broadcast join
 * ``owner``       — vertex ownership (v, machine); the paper replicates
                     this map on every machine, so engines may broadcast it
 * ``edges_o``     — edges joined with both endpoint owners, cached
-* ``degrees``     — (v, deg) for candidate filtering
+* ``degrees``     — (v, deg, bd): degree for candidate filtering and
+                    Prop. 1's border distance (-1: no border reachable),
+                    both computed once per graph on the driver
 * ``edges_pdf``   — symmetric pandas copy for the DuckDB oracle
 """
 from __future__ import annotations
@@ -26,7 +30,7 @@ from repro.graphs.generators import (
     grid_graph,
     watts_strogatz,
 )
-from repro.graphs.partition import bfs_partition, hash_partition
+from repro.graphs.partition import bfs_partition, border_distance, hash_partition
 
 
 @dataclass
@@ -42,7 +46,7 @@ class GraphContext:
     edges: DataFrame = field(repr=False)  # symmetric, cached
     owner: DataFrame = field(repr=False)
     edges_o: DataFrame = field(repr=False)  # src,dst,src_m,dst_m
-    degrees: DataFrame = field(repr=False)  # v, deg
+    degrees: DataFrame = field(repr=False)  # v, deg, bd
     edges_pdf: pd.DataFrame = field(repr=False)  # symmetric, for DuckDB
 
     @property
@@ -91,9 +95,12 @@ def build_context(
         .select("src", "dst", "src_m", "dst_m")
         .cache()
     )
-    deg_np = degrees_of(edges_np, n)
     degrees = spark.createDataFrame(
-        pd.DataFrame({"v": np.arange(n, dtype=np.int64), "deg": deg_np})
+        pd.DataFrame({
+            "v": np.arange(n, dtype=np.int64),
+            "deg": degrees_of(edges_np, n),
+            "bd": border_distance(edges_np, owner_np),
+        })
     ).cache()
     # materialize caches once
     edges.count(), edges_o.count(), degrees.count(), owner.count()

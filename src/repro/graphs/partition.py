@@ -9,6 +9,7 @@ vertices sit far from a partition border and qualify for SM-E).
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterable
 
 import numpy as np
 
@@ -40,7 +41,7 @@ def bfs_partition(edges: np.ndarray, n: int, m: int, *, seed: int = 0) -> np.nda
 
     # --- spread seeds by repeated farthest-point BFS ---
     seeds = [int(rng.integers(0, n))]
-    dist = _bfs_dist(indptr, indices, seeds[0], n)
+    dist = _bfs_dist(indptr, indices, [seeds[0]], n)
     for _ in range(1, m):
         cand = int(np.argmax(np.where(dist < 0, -1, dist)))
         if cand in seeds or dist[cand] <= 0:
@@ -48,7 +49,7 @@ def bfs_partition(edges: np.ndarray, n: int, m: int, *, seed: int = 0) -> np.nda
             while cand in seeds:
                 cand = int(rng.integers(0, n))
         seeds.append(cand)
-        d2 = _bfs_dist(indptr, indices, cand, n)
+        d2 = _bfs_dist(indptr, indices, [cand], n)
         both = np.where((dist >= 0) & (d2 >= 0), np.minimum(dist, d2), np.maximum(dist, d2))
         dist = both
 
@@ -81,10 +82,14 @@ def bfs_partition(edges: np.ndarray, n: int, m: int, *, seed: int = 0) -> np.nda
     return owner
 
 
-def _bfs_dist(indptr: np.ndarray, indices: np.ndarray, s: int, n: int) -> np.ndarray:
+def _bfs_dist(
+    indptr: np.ndarray, indices: np.ndarray, sources: Iterable[int], n: int
+) -> np.ndarray:
+    """Hop distance from the nearest of ``sources``; -1 where none reaches."""
     d = np.full(n, -1, dtype=np.int64)
-    d[s] = 0
-    q = deque([s])
+    q = deque(int(s) for s in sources)
+    for s in q:
+        d[s] = 0
     while q:
         x = q.popleft()
         for y in indices[indptr[x]: indptr[x + 1]]:
@@ -92,6 +97,16 @@ def _bfs_dist(indptr: np.ndarray, indices: np.ndarray, s: int, n: int) -> np.nda
                 d[y] = d[x] + 1
                 q.append(int(y))
     return d
+
+
+def border_distance(edges: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Prop. 1's BD(v) for every vertex: hops to the nearest border vertex
+    (one with a foreign neighbour), -1 where none is reachable. A shortest
+    path to the border never leaves the partition, so the multi-source BFS
+    runs over local edges only."""
+    cross = owner[edges[:, 0]] != owner[edges[:, 1]]
+    indptr, indices = adjacency_csr(edges[~cross], len(owner))
+    return _bfs_dist(indptr, indices, np.unique(edges[cross]), len(owner))
 
 
 def edge_cut(edges: np.ndarray, owner: np.ndarray) -> int:

@@ -41,9 +41,9 @@ def profile(edges: np.ndarray, n: int, name: str = "") -> GraphProfile:
     indptr, indices = adjacency_csr(edges, n)
     deg = degrees_of(edges, n)
     start = int(np.argmax(deg))
-    d1 = _bfs_dist(indptr, indices, start, n)
+    d1 = _bfs_dist(indptr, indices, [start], n)
     far = int(np.argmax(d1))
-    d2 = _bfs_dist(indptr, indices, far, n)
+    d2 = _bfs_dist(indptr, indices, [far], n)
     diameter = int(d2.max())
     return GraphProfile(
         name=name,

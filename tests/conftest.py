@@ -2,8 +2,11 @@
 the Spark caches amortize across test modules) and the Crystal index.
 
 Shuffle partitions are tuned down at runtime for the tiny inputs — a
-per-workload knob; broadcast joins stay disabled as the root conftest
-dictates (the expansion/join dataflow still exercises shuffles).
+per-workload knob; automatic broadcast joins stay disabled as the root
+conftest dictates. Joins against the replicated edge table, ownership
+map and degrees carry explicit broadcast hints, so expansion does not
+shuffle (``test_plan_shape.py`` guards that); the TwinTwig/SEED unit
+joins, the fetchV ``distinct`` and the metering aggregates still do.
 """
 import pytest
 

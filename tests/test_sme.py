@@ -1,15 +1,11 @@
-"""SM-E tests: border vertices, bounded border-distance BFS (Prop. 1's
-precondition), the candidate split, and the backtracking enumerator."""
+"""SM-E tests: border distance (Prop. 1's precondition, a per-graph
+column), the candidate split, and the backtracking enumerator."""
+from collections import deque
+
 import numpy as np
 import pytest
 
-from repro.core.sme import (
-    border_vertices,
-    enumerate_backtracking,
-    sme_enumerate,
-    split_candidates,
-    vertices_within_border,
-)
+from repro.core.sme import enumerate_backtracking, sme_enumerate, split_candidates
 from repro.graphs.datasets import build_context
 from repro.query.pattern import Pattern, count_injective_homomorphisms
 from repro.query.plan import choose_plan
@@ -27,9 +23,16 @@ def path_gc(spark_tuned):
     return build_context(spark_tuned, edges, 10, partitioner=owner, name="path10")
 
 
+def _bd(gc) -> dict[int, int]:
+    return {r["v"]: r["bd"] for r in gc.degrees.collect()}
+
+
 def test_border_vertices_on_path(path_gc):
-    rows = {(r["v"], r["machine"]) for r in border_vertices(path_gc).collect()}
-    assert rows == {(4, 0), (5, 1)}
+    bd = _bd(path_gc)
+    assert {(v, int(path_gc.owner_np[v])) for v, d in bd.items() if d == 0} == {
+        (4, 0),
+        (5, 1),
+    }
 
 
 @pytest.mark.parametrize(
@@ -42,8 +45,43 @@ def test_border_vertices_on_path(path_gc):
     ],
 )
 def test_vertices_within_border_path(path_gc, depth, expected):
-    got = {r["v"] for r in vertices_within_border(path_gc, depth).collect()}
-    assert got == expected
+    assert {v for v, d in _bd(path_gc).items() if 0 <= d <= depth} == expected
+
+
+def _bruteforce_bd(gc) -> dict[int, int]:
+    """Per vertex, a single-source BFS over local edges to the nearest
+    border vertex; -1 if none is reachable."""
+    owner = gc.owner_np
+    local: dict[int, list[int]] = {v: [] for v in range(gc.n_vertices)}
+    border = set()
+    for a, b in gc.edges_np.tolist():
+        if owner[a] == owner[b]:
+            local[a].append(b)
+            local[b].append(a)
+        else:
+            border |= {a, b}
+    out = {}
+    for s in range(gc.n_vertices):
+        dist, q, found = {s: 0}, deque([s]), -1
+        while q:
+            x = q.popleft()
+            if x in border:
+                found = dist[x]
+                break
+            for y in local[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    q.append(y)
+        out[s] = found
+    return out
+
+
+@pytest.mark.parametrize("fixture", ["gc_dblp", "gc_dblp_hash", "gc_road"])
+def test_border_distance_matches_bruteforce(request, fixture):
+    gc = request.getfixturevalue(fixture)
+    bd = _bd(gc)
+    assert bd == _bruteforce_bd(gc)
+    assert 0 in bd.values()  # every fixture has a border
 
 
 def test_split_candidates_partitions(path_gc):
@@ -62,7 +100,7 @@ def test_split_candidates_partitions(path_gc):
     assert c1v | restv == deg_ok
     # Prop. 1 precondition: C1 vertices have BD >= span
     span = p.span(u0)
-    near = {r["v"] for r in vertices_within_border(path_gc, span - 1).collect()}
+    near = {v for v, d in _bd(path_gc).items() if 0 <= d <= span - 1}
     assert c1v.isdisjoint(near)
 
 
