@@ -6,6 +6,15 @@ ones with the single-machine algorithm per machine, region-groups the
 rest, and runs the distributed R-Meef rounds over them. The union is
 the answer; the metrics object carries the simulated communication and
 memory costs.
+
+Spark jobs run only for embedding work: SM-E (materialized once and
+counted), the region grouping (collected once), R-Meef's rounds and,
+with ``measure_compression``, the result's trie size.
+The candidate split, the region-group count, R-Meef's start rows and
+the embedding count are bookkeeping kept on the driver: the split reads
+the graph's replicated degree and border-distance arrays, the start
+rows are the collected region-group table, and the distributed phase's
+embeddings are counted by its last metering aggregate.
 """
 from __future__ import annotations
 
@@ -16,9 +25,9 @@ from pyspark.sql import DataFrame
 from repro.core.emtrie import list_bytes, trie_bytes_spark
 from repro.core.expand import _c
 from repro.core.metrics import VERTEX_BYTES, RunMetrics
-from repro.core.regions import assign_region_groups_spark
+from repro.core.regions import GROUPS_SCHEMA, assign_region_groups_spark
 from repro.core.rmeef import run_rmeef
-from repro.core.sme import sme_enumerate, split_candidates
+from repro.core.sme import candidate_split, sme_enumerate, split_candidates
 from repro.graphs.datasets import GraphContext
 from repro.query.pattern import Pattern
 from repro.query.plan import Plan, choose_plan
@@ -50,36 +59,34 @@ def run_rads(
     u_start = plan.units[0].piv
 
     c1, rest = split_candidates(gc, pattern, u_start)
+    n_c1 = len(candidate_split(gc, pattern, u_start)[0])
     if not use_sme:
         rest = c1.unionByName(rest)
         c1 = c1.limit(0)
-    c1 = c1.localCheckpoint()
-    rest = rest.localCheckpoint()
+        n_c1 = 0
 
     # --- SM-E per machine (Prop. 1 candidates) ---
     sme_df = sme_enumerate(gc, pattern, plan, c1).localCheckpoint()
     n_sme = sme_df.count()
-    n_c1 = c1.count()
     metrics.extras["sme_embeddings"] = n_sme
     metrics.extras["c1_candidates"] = n_c1
 
     # --- region groups: Φ / (estimated rows per candidate, from SM-E) ---
-    groups = None
     if group_mem_bytes is not None:
         est_rows = max(1.0, n_sme / max(1, n_c1))
         per_cand_bytes = est_rows * pattern.n * VERTEX_BYTES
         max_group = max(1, int(group_mem_bytes // per_cand_bytes))
         metrics.extras["max_group_size"] = max_group
-        groups = assign_region_groups_spark(gc, rest, max_group).localCheckpoint()
-        metrics.extras["n_region_groups"] = (
-            groups.select("machine", "g").distinct().count()
-        )
+        # collected once: the group count and R-Meef's start rows
+        # (machine, v, g) come from the driver's copy
+        groups = assign_region_groups_spark(gc, rest, max_group).toPandas()
+        metrics.extras["n_region_groups"] = len(groups.drop_duplicates(["machine", "g"]))
+        rest = gc.spark.createDataFrame(groups, GROUPS_SCHEMA)
 
     # --- distributed phase ---
     dist_df = run_rmeef(
         gc, pattern, plan, rest, metrics,
         bytes_budget=bytes_budget,
-        groups=groups,
         measure_compression=measure_compression,
     )
     if dist_df is None:
@@ -87,9 +94,8 @@ def run_rads(
         return None, metrics
 
     cols = [_c(u) for u in range(pattern.n)]
-    out = sme_df.select(*cols).unionByName(dist_df.select(*cols)).localCheckpoint()
-    metrics.n_embeddings = out.count()
-    metrics.extras["dist_embeddings"] = metrics.n_embeddings - n_sme
+    out = sme_df.select(*cols).unionByName(dist_df.select(*cols))
+    metrics.n_embeddings = n_sme + metrics.extras["dist_embeddings"]
     if measure_compression:
         # include the final result set (SM-E + distributed) in the
         # EL-vs-ET comparison, stored in matching order like the trie

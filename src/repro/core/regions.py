@@ -7,9 +7,11 @@ to the group (eq. 5) — so candidates that will share fetched foreign
 vertices and verification edges land together.
 
 The memory test ``φ(rg) < Φ`` is modeled by a per-group candidate cap:
-the engine estimates rows-per-candidate from SM-E (exactly the paper's
-estimator: average embedding-trie cost of local embeddings) and divides
-the budget by it.
+the engine estimates a candidate's cost as its embedding-list cost —
+SM-E embeddings per C1 candidate (at least 1) × n query vertices × 8 B —
+and divides Φ by it. The paper's estimator is the average
+embedding-*trie* cost of the local embeddings; the list cost stands in
+for it.
 """
 from __future__ import annotations
 
@@ -21,6 +23,9 @@ from pyspark.sql import DataFrame
 
 from repro.core.sme import per_machine_local
 from repro.graphs.datasets import GraphContext
+
+#: the region-group table's columns: candidate ``v`` of ``machine`` in group ``g``
+GROUPS_SCHEMA = "machine int, v long, g int"
 
 
 def greedy_region_groups(
@@ -101,4 +106,4 @@ def assign_region_groups_spark(
             {"machine": m, "v": list(groups), "g": [groups[v] for v in groups]}
         )
 
-    return per_machine_local(gc, candidates, group_local, "machine int, v long, g int")
+    return per_machine_local(gc, candidates, group_local, GROUPS_SCHEMA)

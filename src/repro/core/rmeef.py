@@ -18,8 +18,14 @@ Verify & Filter — distinct pending (m, v, v') pairs are the verifyE
            *distinct*); failed ECs are filtered.
 
 Communication metering (DESIGN.md §2): fetchV = adjacency bytes of
-newly-fetched foreign pivots (a cache DataFrame per (m, g) persists
-across rounds, as in the paper); verifyE = 17 bytes per distinct pair.
+newly-fetched foreign pivots; verifyE = 17 bytes per distinct pair.
+The fetch cache is per (m, g), persists across rounds as in the paper,
+and lives on the driver like the replicated ownership map and degrees:
+the action that collects each round's metering aggregate also returns
+the distinct (m, g, next-round pivot) of the rows that survive
+verification, and the next round's fetchV is computed from them without
+a Spark job. The surviving
+rows of the last round are counted by the same aggregate.
 Intermediate results never shuffle between machines — rows keep their
 home ``m`` for their whole life, which is the paper's core claim. That
 holds in the Spark plan too: every join against the edge table, the
@@ -29,7 +35,10 @@ EC rows stay in their partitions across expand and verify.
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -62,28 +71,23 @@ def run_rmeef(
     metrics: RunMetrics,
     *,
     bytes_budget: int | None = None,
-    groups: DataFrame | None = None,
     measure_compression: bool = False,
 ) -> DataFrame | None:
     """Run the distributed phase; returns the embedding DataFrame
     (columns u0..u{n-1}) or None when the budget was exceeded
     (``metrics.failed`` is set). ``start_candidates``: (machine, v) of
-    dp0.piv candidates assigned to the distributed phase; ``groups``:
-    optional (machine, v, g) region-group assignment."""
+    dp0.piv candidates assigned to the distributed phase, with their
+    region group in an optional ``g`` column (absent: one group per
+    machine). ``metrics.extras["dist_embeddings"]`` gets the number of
+    embeddings found."""
     u0 = plan.units[0].piv
+    g = F.col("g") if "g" in start_candidates.columns else F.lit(0)
     base = start_candidates.select(
-        F.col("machine").alias("m"), F.col("v").alias(_c(u0))
+        F.col("machine").alias("m"),
+        F.col("v").alias(_c(u0)),
+        g.alias("g"),
+        F.col("machine").alias(_o(u0)),
     )
-    if groups is not None:
-        base = base.join(
-            groups.select(
-                F.col("machine").alias("m"), F.col("v").alias(_c(u0)), "g"
-            ),
-            ["m", _c(u0)],
-        )
-    else:
-        base = base.withColumn("g", F.lit(0))
-    base = base.withColumn(_o(u0), F.col("m")).localCheckpoint()
 
     metrics.rounds = plan.rounds
     try:
@@ -107,38 +111,19 @@ def _run_rounds(
     bytes_budget: int | None,
     measure_compression: bool,
 ) -> DataFrame:
-    spark = gc.spark
     # fetched foreign vertices, per (machine, region group): each group
     # starts with an empty cache, as if the groups ran one after another
-    cache = spark.createDataFrame([], "m int, g int, v long")
+    cache: dict[tuple[int, int], set[int]] = {}
     matched: list[int] = [plan.units[0].piv]
+    last = plan.rounds - 1
 
     for i in range(plan.rounds):
-        unit = plan.units[i]
-        p = unit.piv
-
         # ---- fetchV: adjacency of foreign pivots, dedup via cache ----
         if i > 0:
-            needed = (
-                R.select("m", "g", F.col(_c(p)).alias("v"))
-                .distinct()
-                .join(F.broadcast(gc.owner), "v")
-                .filter(F.col("machine") != F.col("m"))
-                .select("m", "g", "v")
-            )
-            new = needed.join(
-                F.broadcast(cache), ["m", "g", "v"], "left_anti"
-            ).localCheckpoint()
-            agg = new.join(F.broadcast(gc.degrees), "v").agg(
-                F.count("*").alias("n"), F.coalesce(F.sum("deg"), F.lit(0)).alias("d")
-            ).collect()[0]
-            if agg["n"]:
-                metrics.add_comm(
-                    "fetchV", (int(agg["d"]) + 2 * int(agg["n"])) * VERTEX_BYTES
-                )
-                cache = cache.unionByName(new).localCheckpoint()
+            cached = _fetch(gc, cache, next_pivots, metrics)
 
         # ---- expand: one leaf at a time ----
+        p = plan.units[i].piv
         pending: list[tuple[int, int]] = []
         for u in plan.leaf_order(i):
             cu = _c(u)
@@ -171,8 +156,8 @@ def _run_rounds(
                 # the (m, g) fetch cache
                 local = (F.col(_o(x)) == F.col("m")) | (F.col(_o(u)) == F.col("m"))
                 if i > 0:  # the fetch cache is empty before round 1
-                    R = _with_cached_flag(R, cache, cx, "__cx")
-                    R = _with_cached_flag(R, cache, cu, "__cu")
+                    R = _with_cached_flag(R, cached, cx, "__cx")
+                    R = _with_cached_flag(R, cached, cu, "__cu")
                     local = local | F.col("__cx") | F.col("__cu")
                 R = R.withColumn(ud, ~local)
                 if i > 0:
@@ -187,8 +172,10 @@ def _run_rounds(
         # one aggregate job: total EC rows + per-(machine, group) peak
         # (memory is a per-machine, per-region-group quantity), the EVI
         # verifyE volume per pending edge (distinct undetermined pairs),
-        # and the per-group embedding-trie size (distinct prefixes in
-        # matching order) — what a machine actually holds in memory
+        # the per-group embedding-trie size (distinct prefixes in
+        # matching order) — what a machine actually holds in memory —
+        # and, in the last round, the number of rows that pass
+        # verification (the distributed phase's embeddings)
         matched_set = set(matched)
         cols_mo = [_c(u) for u in plan.matching_order if u in matched_set]
         aggs = [F.count(F.lit(1)).alias("__n")]
@@ -202,7 +189,26 @@ def _run_rounds(
                 ).alias(f"__p_{x}_{u}")
             )
         aggs += trie_level_aggs(cols_mo)
-        grouped = R.groupBy("m", "g").agg(*aggs).collect()
+        verified = reduce(
+            lambda a, b: a & b,
+            (F.col(f"__ex_{x}_{u}") for x, u in pending),
+            F.lit(True),
+        )
+        if i == last:
+            aggs.append(F.count(F.when(verified, F.lit(1))).alias("__s"))
+        metering = R.groupBy("m", "g").agg(*aggs)
+        if i < last:
+            # the same action returns the survivors' distinct (m, g,
+            # next pivot) rows; a collect_set in the aggregate would
+            # turn it into a slower sort-based aggregation
+            pivots = R.filter(verified).select(
+                "m", "g", F.col(_c(plan.units[i + 1].piv)).alias("__v")
+            ).distinct()
+            rows = metering.unionByName(pivots, allowMissingColumns=True).collect()
+            grouped = [r for r in rows if r["__v"] is None]
+            next_pivots = [r for r in rows if r["__v"] is not None]
+        else:
+            grouped = metering.collect()
         # memory is per (machine, region group); EL/ET and the peak EC
         # set are per region group, summed over machines. The start
         # vertex (first in matching order) fixes m and g, so the (m, g)
@@ -243,13 +249,38 @@ def _run_rounds(
             R = R.filter(F.col(f"__ex_{x}_{u}")).drop(
                 f"__ex_{x}_{u}", f"__ud_{x}_{u}"
             )
-        R = R.localCheckpoint()
+    metrics.extras["dist_embeddings"] = sum(r["__s"] for r in grouped)
     return R
 
 
-def _with_cached_flag(R: DataFrame, cache: DataFrame, vcol: str, flag: str) -> DataFrame:
+def _fetch(
+    gc: GraphContext,
+    cache: dict[tuple[int, int], set[int]],
+    pivots: list,
+    metrics: RunMetrics,
+) -> DataFrame:
+    """fetchV on the driver: meter the adjacency of the foreign vertices
+    among ``pivots`` (distinct (m, g, __v) rows) that the (m, g) cache
+    lacks, add them to it, and return the whole cache as an (m, g, v)
+    local relation."""
+    n = d = 0
+    for r in pivots:
+        m, v = r["m"], r["__v"]
+        have = cache.setdefault((m, r["g"]), set())
+        if gc.owner_np[v] != m and v not in have:
+            have.add(v)
+            n += 1
+            d += int(gc.deg_np[v])
+    if n:
+        metrics.add_comm("fetchV", (d + 2 * n) * VERTEX_BYTES)
+    rows = [(m, g, v) for (m, g), vs in cache.items() for v in vs]
+    pdf = pd.DataFrame(np.array(rows, dtype=np.int64).reshape(-1, 3), columns=["m", "g", "v"])
+    return gc.spark.createDataFrame(pdf, "m int, g int, v long")
+
+
+def _with_cached_flag(R: DataFrame, cached: DataFrame, vcol: str, flag: str) -> DataFrame:
     """Mark rows whose ``vcol`` vertex is in the (m, g) fetch cache."""
-    c = cache.select(
+    c = cached.select(
         "m", "g", F.col("v").alias(vcol), F.lit(True).alias(flag)
     )
     # the fetch cache is small relative to embeddings —

@@ -5,15 +5,17 @@ mapping u_start→v is entirely local to v's machine, so it can be found
 by a single-machine algorithm over the partition alone. BD is a fact of
 the partitioned graph, not of the query: ``build_context`` computes it
 once (a multi-source BFS from the border vertices over local edges) and
-stores it as the ``bd`` column of ``gc.degrees``, so the split is one
-filter. Candidates with ``bd < 0`` (no border reachable) or
-``bd >= span`` form C1 and are enumerated per machine by a TurboIso-lite
-backtracking enumerator inside ``applyInPandas``.
+keeps it on the driver as ``gc.bd_np``, so the split is a filter over
+the driver's degree and BD arrays and costs no Spark job. Candidates
+with ``bd < 0`` (no border reachable) or ``bd >= span`` form C1 and are
+enumerated per machine by a TurboIso-lite backtracking enumerator inside
+``applyInPandas``.
 """
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -31,23 +33,27 @@ def local_edges(gc: GraphContext) -> DataFrame:
     )
 
 
+def candidate_split(
+    gc: GraphContext, pattern: Pattern, u_start: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex ids of (C1, C_rest) for the starting query vertex.
+
+    Candidates are the vertices passing the degree filter. C1 are those
+    with BD >= span or no reachable border (Prop. 1 ⇒ handled by SM-E);
+    the rest go to the distributed R-Meef phase.
+    """
+    v = np.flatnonzero(gc.deg_np >= pattern.degree(u_start))
+    bd = gc.bd_np[v]
+    far = (bd < 0) | (bd >= pattern.span(u_start))
+    return v[far], v[~far]
+
+
 def split_candidates(
     gc: GraphContext, pattern: Pattern, u_start: int
 ) -> tuple[DataFrame, DataFrame]:
-    """(C1, C_rest) for the starting query vertex — both (v, machine).
-
-    Candidates are owned vertices passing the degree filter. C1 are
-    those with BD >= span or no reachable border (Prop. 1 ⇒ handled by
-    SM-E); the rest go to the distributed R-Meef phase.
-    """
-    cand = gc.degrees.filter(F.col("deg") >= pattern.degree(u_start)).join(
-        F.broadcast(gc.owner), "v"
-    )
-    far = (F.col("bd") < 0) | (F.col("bd") >= pattern.span(u_start))
-    return (
-        cand.filter(far).select("v", "machine"),
-        cand.filter(~far).select("v", "machine"),
-    )
+    """(C1, C_rest) of ``candidate_split`` as (v, machine) local relations."""
+    c1, rest = candidate_split(gc, pattern, u_start)
+    return gc.vertex_frame(c1), gc.vertex_frame(rest)
 
 
 # ---------------- backtracking enumerator (TurboIso-lite) ----------------

@@ -13,6 +13,10 @@ GraphContext carries the distributed representation:
 * ``degrees``     — (v, deg, bd): degree for candidate filtering and
                     Prop. 1's border distance (-1: no border reachable),
                     both computed once per graph on the driver
+* ``owner_np``, ``deg_np``, ``bd_np`` — the driver's arrays behind
+                    ``owner`` and ``degrees``: replicated facts that RADS's
+                    bookkeeping (candidate split, fetch cache) reads
+                    without a Spark job
 * ``edges_pdf``   — symmetric pandas copy for the DuckDB oracle
 """
 from __future__ import annotations
@@ -43,6 +47,8 @@ class GraphContext:
     n_machines: int
     edges_np: np.ndarray  # canonical (E,2), src < dst
     owner_np: np.ndarray  # (n,) machine per vertex
+    deg_np: np.ndarray  # (n,) degree per vertex
+    bd_np: np.ndarray  # (n,) border distance per vertex, -1: none reachable
     edges: DataFrame = field(repr=False)  # symmetric, cached
     owner: DataFrame = field(repr=False)
     edges_o: DataFrame = field(repr=False)  # src,dst,src_m,dst_m
@@ -53,8 +59,12 @@ class GraphContext:
     def n_edges(self) -> int:
         return len(self.edges_np)
 
-    def degree_np(self) -> np.ndarray:
-        return degrees_of(self.edges_np, self.n_vertices)
+    def vertex_frame(self, v: np.ndarray) -> DataFrame:
+        """(v, machine) of the vertex ids ``v`` as a local relation: no
+        Spark job builds it, and an empty ``v`` keeps its schema."""
+        v = np.asarray(v, dtype=np.int64)
+        pdf = pd.DataFrame({"v": v, "machine": self.owner_np[v].astype(np.int32)})
+        return self.spark.createDataFrame(pdf, "v long, machine int")
 
     def unpersist(self) -> None:
         for df in (self.edges, self.edges_o, self.degrees, self.owner):
@@ -95,12 +105,10 @@ def build_context(
         .select("src", "dst", "src_m", "dst_m")
         .cache()
     )
+    deg_np = degrees_of(edges_np, n)
+    bd_np = border_distance(edges_np, owner_np)
     degrees = spark.createDataFrame(
-        pd.DataFrame({
-            "v": np.arange(n, dtype=np.int64),
-            "deg": degrees_of(edges_np, n),
-            "bd": border_distance(edges_np, owner_np),
-        })
+        pd.DataFrame({"v": np.arange(n, dtype=np.int64), "deg": deg_np, "bd": bd_np})
     ).cache()
     # materialize caches once
     edges.count(), edges_o.count(), degrees.count(), owner.count()
@@ -111,6 +119,8 @@ def build_context(
         n_machines=m,
         edges_np=edges_np,
         owner_np=owner_np,
+        deg_np=deg_np,
+        bd_np=bd_np,
         edges=edges,
         owner=owner,
         edges_o=edges_o,

@@ -6,7 +6,8 @@ per-workload knob; automatic broadcast joins stay disabled as the root
 conftest dictates. Joins against the replicated edge table, ownership
 map and degrees carry explicit broadcast hints, so expansion does not
 shuffle (``test_plan_shape.py`` guards that); the TwinTwig/SEED unit
-joins, the fetchV ``distinct`` and the metering aggregates still do.
+joins and R-Meef's metering aggregates (with the distinct next-round
+pivots that feed the driver-side fetch cache) still do.
 """
 import pytest
 

@@ -74,3 +74,42 @@ def test_engine_matches_oracle_on_disconnected_graph(
     if engine == "rads_tiny_phi":
         assert met.extras["max_group_size"] <= 4
         assert met.extras["n_region_groups"] >= gc.n_machines
+
+
+# triangle 0-1-2 with tail 2-3 on machine 0; 4-cycle 4-5-6-7 with chord
+# 4-6 on machine 1: no edge crosses machines, so no vertex has a border
+# within reach and every start candidate goes to SM-E (Prop. 1)
+LOCAL_EDGES = np.array(
+    [(0, 1), (0, 2), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (4, 7), (4, 6)],
+    dtype=np.int64,
+)
+LOCAL_OWNER = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+
+
+@pytest.fixture(scope="module")
+def gc_all_local(spark_tuned):
+    gc = build_context(
+        spark_tuned, LOCAL_EDGES, len(LOCAL_OWNER), partitioner=LOCAL_OWNER,
+        name="all_local",
+    )
+    yield gc
+    gc.unpersist()
+
+
+@pytest.mark.parametrize("phi", [None, 64])
+@pytest.mark.parametrize("pname", ["triangle", "path3"])
+def test_rads_with_empty_rest_matches_oracle(gc_all_local, pname, phi):
+    """Every start candidate in C1: R-Meef starts from no rows (and, with
+    Φ, an empty region-group table) and moves nothing between machines."""
+    gc, p = gc_all_local, PATTERNS[pname]
+    assert gc.n_machines == 2
+    df, met = run_rads(gc, p, group_mem_bytes=phi)
+    assert not met.failed, met.fail_reason
+    assert_equivalent(df, pattern_sql(p), edges=gc.edges_pdf)
+    assert met.extras["c1_candidates"] > 0
+    assert met.extras["dist_embeddings"] == 0
+    assert met.n_embeddings == met.extras["sme_embeddings"] > 0
+    assert met.comm_breakdown.get("fetchV", 0) == 0
+    assert met.comm_breakdown.get("verifyE", 0) == 0
+    if phi is not None:
+        assert met.extras["n_region_groups"] == 0

@@ -78,26 +78,26 @@ def test_rmeef_grouped_meter_equals_per_group_runs(gc_dblp):
     p = QUERIES["q5"]  # 3 rounds: the fetch cache is reused across rounds
     plan = choose_plan(p)
     c1, rest = split_candidates(gc_dblp, p, plan.units[0].piv)
-    cands = c1.unionByName(rest).localCheckpoint()
-    groups = assign_region_groups_spark(gc_dblp, cands, 8).localCheckpoint()
+    groups = assign_region_groups_spark(gc_dblp, c1.unionByName(rest), 8).localCheckpoint()
     assert groups.select("machine", "g").distinct().count() > gc_dblp.n_machines
 
-    def meter(cands, groups):
+    def meter(groups):
         met = RunMetrics("rads", "q5", gc_dblp.name)
-        assert run_rmeef(gc_dblp, p, plan, cands, met, groups=groups) is not None
+        assert run_rmeef(gc_dblp, p, plan, groups, met) is not None
         return met
 
-    whole = meter(cands, groups)
-    parts = []
-    for (gid,) in sorted(groups.select("g").distinct().collect()):
-        g = groups.filter(F.col("g") == gid)
-        parts.append(meter(cands.join(g.select("machine", "v"), ["machine", "v"]), g))
+    whole = meter(groups)
+    parts = [
+        meter(groups.filter(F.col("g") == gid))
+        for (gid,) in sorted(groups.select("g").distinct().collect())
+    ]
     assert len(parts) > 1
     for kind in ("fetchV", "verifyE"):
         assert whole.comm_breakdown.get(kind, 0) == sum(
             m.comm_breakdown.get(kind, 0) for m in parts
         )
     assert whole.comm_breakdown["fetchV"] > 0
+    assert whole.extras["dist_embeddings"] == sum(m.extras["dist_embeddings"] for m in parts)
     assert whole.peak_intermediate_bytes == max(m.peak_intermediate_bytes for m in parts)
 
 
