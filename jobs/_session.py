@@ -3,14 +3,15 @@
 Jobs are functions over a SparkSession; when launched via spark-submit
 (or plain ``python jobs/<name>.py``) this builds the session with the
 same conventions as conftest.py (automatic broadcast joins disabled;
-joins against the replicated graph tables — edges, ownership, degrees —
-and R-Meef's small fetch cache carry explicit broadcast hints).
+joins against the replicated graph tables — edges, degrees — carry
+explicit broadcast hints).
 
 Every job imports this module before anything from ``repro``: importing
 it puts the checkout's ``src/`` on ``sys.path`` and on ``PYTHONPATH``,
-and the session passes that on to Spark's Python workers
-(``applyInPandas`` unpickles ``repro`` functions there), so the jobs
-run from a clean shell without installing the package.
+and the session passes that on to Spark's Python workers (RADS's
+per-machine ``mapInPandas`` tasks unpickle ``repro`` functions and the
+broadcast adjacency there), so the jobs run from a clean shell without
+installing the package.
 """
 import os
 import sys

@@ -142,9 +142,9 @@ def run_crystal(
         a, b = max(
             pattern.edges, key=lambda e: pattern.degree(e[0]) + pattern.degree(e[1])
         )
-        R = gc.edges.select(F.col("src").alias(_c(a)), F.col("dst").alias(_c(b)))
-        for v in (a, b):
-            R = degree_filter(gc, R, _c(v), pattern.degree(v))
+        R = gc.edges.filter(
+            (F.col("src_deg") >= pattern.degree(a)) & (F.col("dst_deg") >= pattern.degree(b))
+        ).select(F.col("src").alias(_c(a)), F.col("dst").alias(_c(b)))
         for x, y in pattern.symmetry_breaking_pairs:
             if {x, y} <= {a, b}:
                 R = R.filter(F.col(_c(x)) < F.col(_c(y)))

@@ -6,21 +6,19 @@ Two views of the same structure:
   (per-machine, used by tests and by the SM-E cost estimator). Supports
   insert / remove-with-cascade / retrieval by leaf id, exactly as the
   paper's maintenance algorithms require.
-* :func:`trie_nodes_spark` — exact distributed node count of the trie a
-  machine *would* build for an embedding DataFrame: level-j nodes are
-  the distinct j+1-prefixes of the result lists in matching order
-  (the trie merges equal prefixes, so counting distinct prefixes counts
-  nodes without collecting results to the driver). Used by the Table 3/4
-  compression experiment; R-Meef's per-round metering aggregate takes
-  the same rule from :func:`trie_level_aggs`.
+* :func:`trie_nodes` — exact node count of the trie a machine *would*
+  build for a set of result lists, in numpy: level-j nodes are the
+  distinct j+1-prefixes of the lists in matching order (the trie merges
+  equal prefixes). SM-E and R-Meef's per-machine tasks count their
+  embeddings' and EC sets' tries with it, for the memory check and the
+  Table 3/4 compression experiment.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from pyspark.sql import Column, DataFrame
-from pyspark.sql import functions as F
+import numpy as np
 
 from repro.core.metrics import TRIE_NODE_BYTES, VERTEX_BYTES
 
@@ -128,22 +126,16 @@ def list_bytes(n_rows: int, n_cols: int) -> int:
     return n_rows * n_cols * VERTEX_BYTES
 
 
-def trie_level_aggs(cols: Sequence[str]) -> list[Column]:
-    """The trie's node rule as aggregates, one per level: ``__t{j}``
-    counts the distinct (cols[0..j]) prefixes, where ``cols`` are the
-    vertex columns in matching order."""
-    return [
-        F.count_distinct(F.struct(*[F.col(c) for c in cols[: j + 1]])).alias(f"__t{j}")
-        for j in range(len(cols))
-    ]
-
-
-def trie_nodes_spark(df: DataFrame, cols: Sequence[str]) -> int:
-    """Exact node count of the merged trie for ``df``'s rows, where
-    ``cols`` are the vertex columns in matching order (one aggregate job)."""
-    return int(sum(df.agg(*trie_level_aggs(cols)).collect()[0]))
-
-
-def trie_bytes_spark(df: DataFrame, cols: Sequence[str]) -> int:
-    """Embedding-trie (ET) memory for the results in ``df``."""
-    return trie_nodes_spark(df, cols) * TRIE_NODE_BYTES
+def trie_nodes(cols: Sequence[np.ndarray]) -> int:
+    """Node count of the merged trie of the rows whose vertex columns,
+    in matching order, are ``cols``: Σ_j distinct (cols[0..j]) prefixes."""
+    if not len(cols) or not len(cols[0]):
+        return 0
+    order = np.lexsort(cols[::-1])
+    new = np.zeros(len(order) - 1, bool)  # row k's prefix differs from row k-1's
+    nodes = 0
+    for c in cols:
+        c = c[order]
+        new |= c[1:] != c[:-1]
+        nodes += 1 + int(np.count_nonzero(new))
+    return nodes

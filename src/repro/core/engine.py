@@ -7,27 +7,26 @@ rest, and runs the distributed R-Meef rounds over them. The union is
 the answer; the metrics object carries the simulated communication and
 memory costs.
 
-Spark jobs run only for embedding work: SM-E (materialized once and
-counted), the region grouping (collected once), R-Meef's rounds and,
-with ``measure_compression``, the result's trie size.
-The candidate split, the region-group count, R-Meef's start rows and
-the embedding count are bookkeeping kept on the driver: the split reads
-the graph's replicated degree and border-distance arrays, the start
-rows are the collected region-group table, and the distributed phase's
-embeddings are counted by its last metering aggregate.
+Each machine's work runs inside a Spark task over the graph's
+broadcast adjacency, in two jobs: SM-E over the C1 candidates, then
+Algorithm 3 and every R-Meef round over the rest. A warm call issues
+four driver actions (a checkpoint and a record collect per job),
+whatever the round count. The candidate split, Φ's group cap, the metering and the
+embedding count are bookkeeping on the driver: the split reads the
+graph's replicated degree and border-distance arrays, and the rest
+comes from the tasks' meter records.
 """
 from __future__ import annotations
 
 import time
 
+import numpy as np
 from pyspark.sql import DataFrame
 
-from repro.core.emtrie import list_bytes, trie_bytes_spark
-from repro.core.expand import _c
-from repro.core.metrics import VERTEX_BYTES, RunMetrics
-from repro.core.regions import GROUPS_SCHEMA, assign_region_groups_spark
+from repro.core.emtrie import list_bytes
+from repro.core.metrics import TRIE_NODE_BYTES, VERTEX_BYTES, RunMetrics
 from repro.core.rmeef import run_rmeef
-from repro.core.sme import candidate_split, sme_enumerate, split_candidates
+from repro.core.sme import candidate_split, sme_enumerate
 from repro.graphs.datasets import GraphContext
 from repro.query.pattern import Pattern
 from repro.query.plan import Plan, choose_plan
@@ -58,34 +57,27 @@ def run_rads(
     plan = plan or choose_plan(pattern)
     u_start = plan.units[0].piv
 
-    c1, rest = split_candidates(gc, pattern, u_start)
-    n_c1 = len(candidate_split(gc, pattern, u_start)[0])
+    c1, rest = candidate_split(gc, pattern, u_start)
     if not use_sme:
-        rest = c1.unionByName(rest)
-        c1 = c1.limit(0)
-        n_c1 = 0
+        c1, rest = c1[:0], np.union1d(c1, rest)
 
     # --- SM-E per machine (Prop. 1 candidates) ---
-    sme_df = sme_enumerate(gc, pattern, plan, c1).localCheckpoint()
-    n_sme = sme_df.count()
-    metrics.extras["sme_embeddings"] = n_sme
-    metrics.extras["c1_candidates"] = n_c1
+    sme_df = sme_enumerate(gc, pattern, plan, c1, metrics)
+    n_sme = metrics.extras["sme_embeddings"]
+    metrics.extras["c1_candidates"] = len(c1)
 
     # --- region groups: Φ / (estimated rows per candidate, from SM-E) ---
+    max_group = None
     if group_mem_bytes is not None:
-        est_rows = max(1.0, n_sme / max(1, n_c1))
+        est_rows = max(1.0, n_sme / max(1, len(c1)))
         per_cand_bytes = est_rows * pattern.n * VERTEX_BYTES
         max_group = max(1, int(group_mem_bytes // per_cand_bytes))
         metrics.extras["max_group_size"] = max_group
-        # collected once: the group count and R-Meef's start rows
-        # (machine, v, g) come from the driver's copy
-        groups = assign_region_groups_spark(gc, rest, max_group).toPandas()
-        metrics.extras["n_region_groups"] = len(groups.drop_duplicates(["machine", "g"]))
-        rest = gc.spark.createDataFrame(groups, GROUPS_SCHEMA)
 
     # --- distributed phase ---
     dist_df = run_rmeef(
         gc, pattern, plan, rest, metrics,
+        max_group_size=max_group,
         bytes_budget=bytes_budget,
         measure_compression=measure_compression,
     )
@@ -93,15 +85,16 @@ def run_rads(
         metrics.elapsed_s = time.perf_counter() - t0
         return None, metrics
 
-    cols = [_c(u) for u in range(pattern.n)]
-    out = sme_df.select(*cols).unionByName(dist_df.select(*cols))
+    out = sme_df.unionByName(dist_df)
     metrics.n_embeddings = n_sme + metrics.extras["dist_embeddings"]
     if measure_compression:
         # include the final result set (SM-E + distributed) in the
-        # EL-vs-ET comparison, stored in matching order like the trie
-        mo_cols = [_c(u) for u in plan.matching_order]
+        # EL-vs-ET comparison, stored in matching order like the trie;
+        # the start vertex comes first, so SM-E's and each machine's
+        # region groups' tries share no node
         el = list_bytes(metrics.n_embeddings, pattern.n)
-        et = trie_bytes_spark(out, mo_cols)
+        nodes = metrics.extras["sme_trie_nodes"] + metrics.extras["dist_trie_nodes"]
+        et = nodes * TRIE_NODE_BYTES
         metrics.extras["el_bytes"] = max(metrics.extras.get("el_bytes", 0), el)
         metrics.extras["et_bytes"] = max(metrics.extras.get("et_bytes", 0), et)
     metrics.elapsed_s = time.perf_counter() - t0

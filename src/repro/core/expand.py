@@ -1,13 +1,12 @@
-"""The vertex-extension step every engine grows embeddings with.
+"""The vertex-extension step the baselines grow embeddings with.
 
-R-Meef's expand (Sec. 3.2, Algorithm 4) and the PSgL / TwinTwig / SEED
-/ Crystal baselines (Secs. 7–8) all extend a partial embedding by one
-query vertex the same way: join the anchor's adjacency, prune by
-degree, enforce injectivity, check some pattern edges to already
-matched vertices, and apply symmetry breaking. They differ only in
-which edges they verify on the spot (``eager``): the baselines hold the
-whole neighbourhood after their shuffle and check every edge, while
-R-Meef defers its verification edges (Definition 3's EC set).
+The PSgL / TwinTwig / SEED / Crystal baselines (Secs. 7–8) all extend a
+partial embedding by one query vertex the same way, as a Spark join:
+join the anchor's adjacency, prune by degree, enforce injectivity,
+check pattern edges to already matched vertices (``eager``), and apply
+symmetry breaking. R-Meef (Sec. 3.2) extends the same way, in numpy
+inside each machine's task (``repro.core.rmeef``), deferring its
+verification edges (Definition 3's EC set).
 """
 from __future__ import annotations
 
@@ -27,8 +26,8 @@ def _c(u: int) -> str:
 
 def degree_filter(gc: GraphContext, R: DataFrame, col: str, min_deg: int) -> DataFrame:
     """Keep rows whose ``col`` vertex has degree >= ``min_deg``
-    (TurboIso-style candidate pruning; the degree table is broadcast
-    like the replicated ownership map)."""
+    (TurboIso-style candidate pruning; the degree table is replicated,
+    so it is broadcast)."""
     dg = gc.degrees.select(F.col("v").alias(col), F.col("deg").alias("__dg"))
     return R.join(F.broadcast(dg), col).filter(F.col("__dg") >= min_deg).drop("__dg")
 
@@ -47,11 +46,12 @@ def expand(
     only rows where the pattern edge ``(w, u)`` exists for every ``w`` in
     ``eager`` (checked in the caller's order)."""
     cu, ca = _c(u), _c(anchor)
-    # the edge table is replicated like the ownership map: broadcast
-    # joins keep every row in its partition (no shuffle by the anchor)
-    adj = gc.edges.select(F.col("src").alias(ca), F.col("dst").alias(cu))
+    # the edge table is replicated, with each endpoint's degree: one
+    # broadcast join extends by the anchor's neighbours that pass u's
+    # degree filter and keeps every row in its partition
+    adj = gc.edges.filter(F.col("dst_deg") >= pattern.degree(u))
+    adj = adj.select(F.col("src").alias(ca), F.col("dst").alias(cu))
     R = R.join(F.broadcast(adj), ca)
-    R = degree_filter(gc, R, cu, pattern.degree(u))
     for x in matched:  # injectivity
         R = R.filter(F.col(cu) != F.col(_c(x)))
     for w in eager:

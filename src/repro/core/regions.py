@@ -12,20 +12,17 @@ SM-E embeddings per C1 candidate (at least 1) × n query vertices × 8 B —
 and divides Φ by it. The paper's estimator is the average
 embedding-*trie* cost of the local embeddings; the list cost stands in
 for it.
+
+Each machine groups its own candidates over its local adjacency, before
+any communication happens: R-Meef's per-machine task calls
+:func:`region_groups` with the seed ``m``.
 """
 from __future__ import annotations
 
 import random
 from typing import Iterable
 
-import pandas as pd
-from pyspark.sql import DataFrame
-
-from repro.core.sme import per_machine_local
-from repro.graphs.datasets import GraphContext
-
-#: the region-group table's columns: candidate ``v`` of ``machine`` in group ``g``
-GROUPS_SCHEMA = "machine int, v long, g int"
+import numpy as np
 
 
 def greedy_region_groups(
@@ -83,27 +80,16 @@ def greedy_region_groups(
     return group_of
 
 
-def proximity(adj: dict[int, set[int]], v: int, rg: Iterable[int]) -> float:
-    """Eq. (5): fraction of v's neighbors adjacent to the group."""
-    nb = set()
-    for u in rg:
-        nb |= adj.get(u, set())
-    d = adj.get(v, set())
-    return len(d & nb) / max(1, len(d))
-
-
-def assign_region_groups_spark(
-    gc: GraphContext, candidates: DataFrame, max_group_size: int, seed: int = 0
-) -> DataFrame:
-    """Per-machine Algorithm 3: (machine, v, g).
-
-    Proximity only looks at local adjacency (the machine groups its own
-    candidates before any communication happens)."""
-
-    def group_local(m: int, adj: dict[int, set[int]], cands: list[int]):
-        groups = greedy_region_groups(adj, cands, max_group_size, seed=seed + m)
-        return pd.DataFrame(
-            {"machine": m, "v": list(groups), "g": [groups[v] for v in groups]}
-        )
-
-    return per_machine_local(gc, candidates, group_local, GROUPS_SCHEMA)
+def region_groups(
+    adj: dict[int, set[int]],
+    candidates: np.ndarray,
+    max_group_size: int,
+    seed: int = 0,
+) -> list[np.ndarray]:
+    """Algorithm 3's groups of ``candidates`` as sorted vertex arrays,
+    indexed by group id."""
+    group_of = greedy_region_groups(adj, candidates.tolist(), max_group_size, seed)
+    groups: list[list[int]] = [[] for _ in range(len(set(group_of.values())))]
+    for v in sorted(group_of):
+        groups[group_of[v]].append(v)
+    return [np.array(g, dtype=np.int64) for g in groups]

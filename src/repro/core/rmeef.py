@@ -1,290 +1,244 @@
 """R-Meef: region-grouped multi-round expand / verify & filter (Sec. 3.2).
 
-The distributed rounds as a Catalyst dataflow. Each embedding row
-carries its *home machine* ``m`` (owner of the start vertex) and region
-group ``g``; all region groups run in one dataflow keyed by ``(m, g)``.
-Per unit of the execution plan:
+Each machine runs its share of the distributed phase inside a Spark
+task over the graph's broadcast adjacency (``sme.per_machine``), as in
+Algorithm 4: it region-groups its start candidates (Algorithm 3 over
+its local adjacency, seed ``m``) and runs every round of one group after
+another, in numpy. Every row descends from one start vertex, so it
+keeps its home machine ``m`` and group ``g`` for its whole life:
+intermediate results never move between machines, which is the paper's
+core claim. Per unit of the execution plan:
 
-Expand   — join on the pivot's adjacency, one leaf at a time, applying
-           degree / injectivity / symmetry-breaking filters (the shared
-           step of ``repro.core.expand``), then check the
-           *locally-verifiable* verification edges immediately. Edges
-           whose existence machine ``m`` cannot see (neither endpoint
-           owned nor cached — Definition 4's undetermined edges) pass
-           through with a pending flag: the resulting set is exactly
-           the EC set of Definition 3.
-Verify & Filter — distinct pending (m, v, v') pairs are the verifyE
+Expand   — gather the pivot's adjacency from the CSR, one leaf at a
+           time, applying degree / injectivity / symmetry-breaking
+           filters, then check the *locally-verifiable* verification
+           edges immediately. Edges whose existence machine ``m`` cannot
+           see (neither endpoint owned nor in the group's fetch cache —
+           Definition 4's undetermined edges) pass with a pending flag:
+           the resulting set is exactly the EC set of Definition 3.
+Verify & Filter — distinct pending (v, v') pairs are the verifyE
            requests (the EVI dedupes shared undetermined edges, hence
            *distinct*); failed ECs are filtered.
 
-Communication metering (DESIGN.md §2): fetchV = adjacency bytes of
-newly-fetched foreign pivots; verifyE = 17 bytes per distinct pair.
-The fetch cache is per (m, g), persists across rounds as in the paper,
-and lives on the driver like the replicated ownership map and degrees:
-the action that collects each round's metering aggregate also returns
-the distinct (m, g, next-round pivot) of the rows that survive
-verification, and the next round's fetchV is computed from them without
-a Spark job. The surviving
-rows of the last round are counted by the same aggregate.
-Intermediate results never shuffle between machines — rows keep their
-home ``m`` for their whole life, which is the paper's core claim. That
-holds in the Spark plan too: every join against the edge table, the
-ownership map, the degrees and the fetch cache is a broadcast join, so
-EC rows stay in their partitions across expand and verify.
+The fetch cache is per (m, g), persists across the group's rounds as in
+the paper, and lives in the machine's task. A group whose EC set's
+embedding trie overruns the budget stops there.
+
+Communication metering (DESIGN.md §2): the task returns one record per
+(m, g, round) and the driver applies them round by round. fetchV =
+adjacency bytes of newly fetched foreign pivots; verifyE = 17 bytes per
+distinct pending pair. The start vertex fixes m and g, so every count
+adds up over tasks.
 """
 from __future__ import annotations
 
 from collections import Counter
-from functools import reduce
+from typing import Iterator, NamedTuple
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.core.emtrie import list_bytes, trie_level_aggs
-from repro.core.expand import _c, expand
+from repro.core.emtrie import list_bytes, trie_nodes
 from repro.core.metrics import (
     TRIE_NODE_BYTES,
     VERIFY_PAIR_BYTES,
     VERTEX_BYTES,
     RunMetrics,
 )
-from repro.graphs.datasets import GraphContext
+from repro.core.regions import region_groups
+from repro.core.sme import Output, per_machine
+from repro.graphs.datasets import Adjacency, GraphContext
 from repro.query.pattern import Pattern
 from repro.query.plan import Plan
 
 
-def _o(u: int) -> str:
-    return f"__o_{u}"
+class Record(NamedTuple):
+    """What one region group ``g`` of machine ``m`` meters in round ``i``."""
 
-
-class _Budget(Exception):
-    """Raised when an intermediate exceeds the simulated memory budget."""
+    m: int
+    g: int
+    i: int
+    ec_rows: int  # the EC set's rows, pending edges unverified
+    pending_pairs: int  # distinct undetermined (v, v') pairs, over its edges
+    trie_nodes: int  # the EC set's embedding trie
+    fetched: int  # foreign pivots new to the fetch cache
+    fetched_deg: int  # their degree sum
+    survivors: int  # last round: rows that pass verification
+    final_trie_nodes: int  # last round, measure_compression: their trie
 
 
 def run_rmeef(
     gc: GraphContext,
     pattern: Pattern,
     plan: Plan,
-    start_candidates: DataFrame,
+    start: np.ndarray,
     metrics: RunMetrics,
     *,
+    max_group_size: int | None = None,
     bytes_budget: int | None = None,
     measure_compression: bool = False,
 ) -> DataFrame | None:
-    """Run the distributed phase; returns the embedding DataFrame
-    (columns u0..u{n-1}) or None when the budget was exceeded
-    (``metrics.failed`` is set). ``start_candidates``: (machine, v) of
-    dp0.piv candidates assigned to the distributed phase, with their
-    region group in an optional ``g`` column (absent: one group per
-    machine). ``metrics.extras["dist_embeddings"]`` gets the number of
-    embeddings found."""
-    u0 = plan.units[0].piv
-    g = F.col("g") if "g" in start_candidates.columns else F.lit(0)
-    base = start_candidates.select(
-        F.col("machine").alias("m"),
-        F.col("v").alias(_c(u0)),
-        g.alias("g"),
-        F.col("machine").alias(_o(u0)),
-    )
-
+    """Run the distributed phase from the dp0.piv candidates ``start``;
+    returns the embedding DataFrame (columns u0..u{n-1}) or None when
+    the budget was exceeded (``metrics.failed`` is set).
+    ``max_group_size`` caps Algorithm 3's region groups (None: one group
+    per machine). ``metrics.extras["dist_embeddings"]`` gets the number
+    of embeddings found."""
     metrics.rounds = plan.rounds
-    try:
-        out = _run_rounds(
-            gc, pattern, plan, base, metrics, bytes_budget, measure_compression
-        )
-    except _Budget as e:
-        metrics.failed = True
-        metrics.fail_reason = str(e)
+
+    def machine(m: int, A: Adjacency, cands: np.ndarray) -> Iterator[Output]:
+        if max_group_size is None:
+            groups = [cands]
+        else:
+            groups = region_groups(A.local(m), cands, max_group_size, seed=m)
+        rounds = plan.rounds
+        for g, members in enumerate(groups):
+            records, rows = _run_group(
+                A, pattern, plan, m, g, members, rounds, bytes_budget, measure_compression
+            )
+            yield from records
+            if rows is not None:
+                yield rows
+            else:  # stopped early: later groups meter no further
+                rounds = min(rounds, len(records))
+
+    df, collected = per_machine(gc, start, machine, pattern.n)
+    records = [Record(*r) for r in collected]
+    if max_group_size is not None:  # every group meters its round 0
+        metrics.extras["n_region_groups"] = sum(r.i == 0 for r in records)
+    if not _meter(metrics, plan, records, bytes_budget, measure_compression):
         return None
-    cols = [_c(u) for u in range(pattern.n)]
-    return out.select(*cols)
+    return df
 
 
-def _run_rounds(
-    gc: GraphContext,
+def _run_group(
+    A: Adjacency,
     pattern: Pattern,
     plan: Plan,
-    R: DataFrame,
-    metrics: RunMetrics,
+    m: int,
+    g: int,
+    start: np.ndarray,
+    rounds: int,
     bytes_budget: int | None,
     measure_compression: bool,
-) -> DataFrame:
-    # fetched foreign vertices, per (machine, region group): each group
-    # starts with an empty cache, as if the groups ran one after another
-    cache: dict[tuple[int, int], set[int]] = {}
-    matched: list[int] = [plan.units[0].piv]
-    last = plan.rounds - 1
-
-    for i in range(plan.rounds):
-        # ---- fetchV: adjacency of foreign pivots, dedup via cache ----
-        if i > 0:
-            cached = _fetch(gc, cache, next_pivots, metrics)
+) -> tuple[list[Record], np.ndarray | None]:
+    """Algorithm 4's first ``rounds`` rounds for region group ``g`` (its
+    start vertices ``start``) of machine ``m``: one record per round run,
+    and the embeddings (columns u0..u{n-1}) — None instead when the group
+    stops over budget or before the last round."""
+    u0 = plan.units[0].piv
+    R = {u0: start}  # data vertex of each matched query vertex, per row
+    cached = np.zeros(len(A.owner), bool)  # the (m, g) fetch cache
+    records: list[Record] = []
+    for i in range(rounds):
+        p = plan.units[i].piv
+        # ---- fetchV: adjacency of foreign pivots the cache lacks ----
+        new = np.unique(R[p]) if i else R[p][:0]
+        new = new[(A.owner[new] != m) & ~cached[new]]
+        cached[new] = True
 
         # ---- expand: one leaf at a time ----
-        p = plan.units[i].piv
-        pending: list[tuple[int, int]] = []
+        pending: list[tuple[int, int, np.ndarray, np.ndarray]] = []  # x, u, exists, undetermined
         for u in plan.leaf_order(i):
-            cu = _c(u)
-            R = expand(gc, R, pattern, matched, u, p)
-            R = R.join(  # ownership of the new vertex (replicated map)
-                F.broadcast(
-                    gc.owner.select(F.col("v").alias(cu), F.col("machine").alias(_o(u)))
-                ),
-                cu,
-            )
-            # verification edges incident to u with an earlier endpoint
+            rows, w = A.neighbors(R[p])
+            ok = A.deg[w] >= pattern.degree(u)
+            rows, w = rows[ok], w[ok]
+            R = {x: c[rows] for x, c in R.items()}
+            pending = [(x, y, e[rows], d[rows]) for x, y, e, d in pending]
+            keep = np.ones(len(w), bool)
+            for c in R.values():  # injectivity
+                keep &= c != w
+            R[u] = w
+            for a, b in pattern.symmetry_breaking_pairs:  # preserved order
+                if u in (a, b) and (a if b == u else b) in R:
+                    keep &= R[a] < R[b]
+            # verification edges incident to u with an earlier endpoint:
+            # locally verifiable at m when an endpoint is owned by m or in
+            # the fetch cache; locally-failed ECs never materialize
+            # (Algorithm 2 line 10)
             for x, _ in plan.verification_edges_for_leaf(i, u):
-                cx = _c(x)
-                ex, ud = f"__ex_{x}_{u}", f"__ud_{x}_{u}"
-                ee = gc.edges.select(
-                    F.col("src").alias("__va"),
-                    F.col("dst").alias("__vb"),
-                    F.lit(True).alias(ex),
-                )
-                R = (
-                    R.join(
-                        F.broadcast(ee),
-                        (F.col(cx) == F.col("__va")) & (F.col(cu) == F.col("__vb")),
-                        "left",
-                    )
-                    .drop("__va", "__vb")
-                    .withColumn(ex, F.coalesce(F.col(ex), F.lit(False)))
-                )
-                # locally verifiable at m: an endpoint owned by m or in
-                # the (m, g) fetch cache
-                local = (F.col(_o(x)) == F.col("m")) | (F.col(_o(u)) == F.col("m"))
-                if i > 0:  # the fetch cache is empty before round 1
-                    R = _with_cached_flag(R, cached, cx, "__cx")
-                    R = _with_cached_flag(R, cached, cu, "__cu")
-                    local = local | F.col("__cx") | F.col("__cu")
-                R = R.withColumn(ud, ~local)
-                if i > 0:
-                    R = R.drop("__cx", "__cu")
-                # locally-failed ECs never materialize (Algorithm 2 line 10)
-                R = R.filter(F.col(ex) | F.col(ud))
-                pending.append((x, u))
-            matched.append(u)
+                v = R[x]
+                exists = A.has_edge(v, w)
+                undetermined = ~((A.owner[v] == m) | (A.owner[w] == m) | cached[v] | cached[w])
+                pending.append((x, u, exists, undetermined))
+                keep &= exists | undetermined
+            R = {x: c[keep] for x, c in R.items()}
+            pending = [(x, y, e[keep], d[keep]) for x, y, e, d in pending]
 
-        # ---- materialize the EC set of P_i ----
-        R = R.localCheckpoint()
-        # one aggregate job: total EC rows + per-(machine, group) peak
-        # (memory is a per-machine, per-region-group quantity), the EVI
-        # verifyE volume per pending edge (distinct undetermined pairs),
-        # the per-group embedding-trie size (distinct prefixes in
-        # matching order) — what a machine actually holds in memory —
-        # and, in the last round, the number of rows that pass
-        # verification (the distributed phase's embeddings)
-        matched_set = set(matched)
-        cols_mo = [_c(u) for u in plan.matching_order if u in matched_set]
-        aggs = [F.count(F.lit(1)).alias("__n")]
-        for x, u in pending:
-            aggs.append(
-                F.count_distinct(
-                    F.when(
-                        F.col(f"__ud_{x}_{u}"),
-                        F.struct(F.col("m"), F.col(_c(x)), F.col(_c(u))),
-                    )
-                ).alias(f"__p_{x}_{u}")
-            )
-        aggs += trie_level_aggs(cols_mo)
-        verified = reduce(
-            lambda a, b: a & b,
-            (F.col(f"__ex_{x}_{u}") for x, u in pending),
-            F.lit(True),
-        )
-        if i == last:
-            aggs.append(F.count(F.when(verified, F.lit(1))).alias("__s"))
-        metering = R.groupBy("m", "g").agg(*aggs)
-        if i < last:
-            # the same action returns the survivors' distinct (m, g,
-            # next pivot) rows; a collect_set in the aggregate would
-            # turn it into a slower sort-based aggregation
-            pivots = R.filter(verified).select(
-                "m", "g", F.col(_c(plan.units[i + 1].piv)).alias("__v")
-            ).distinct()
-            rows = metering.unionByName(pivots, allowMissingColumns=True).collect()
-            grouped = [r for r in rows if r["__v"] is None]
-            next_pivots = [r for r in rows if r["__v"] is not None]
-        else:
-            grouped = metering.collect()
+        # ---- meter the EC set of P_i ----
+        n = len(A.owner)
+        pairs = sum(len(np.unique(R[x][d] * n + R[y][d])) for x, y, _, d in pending)
+        nodes = trie_nodes([R[u] for u in plan.matching_order if u in R])
+        # ---- verify & filter ----
+        verified = np.ones(len(R[u0]), bool)
+        for _, _, exists, _ in pending:
+            verified &= exists
+        R = {x: c[verified] for x, c in R.items()}
+        last = i == plan.rounds - 1
+        records.append(Record(
+            m, g, i, len(verified), pairs, nodes, len(new), int(A.deg[new].sum()),
+            len(R[u0]) if last else 0,
+            trie_nodes([R[u] for u in plan.matching_order]) if last and measure_compression else 0,
+        ))
+        if bytes_budget is not None and nodes * TRIE_NODE_BYTES > bytes_budget:
+            return records, None
+        if not len(R[u0]):
+            return records, np.zeros((0, pattern.n), np.int64)
+    if rounds < plan.rounds:
+        return records, None
+    return records, np.column_stack([R[u] for u in range(pattern.n)])
+
+
+def _meter(
+    metrics: RunMetrics,
+    plan: Plan,
+    records: list[Record],
+    bytes_budget: int | None,
+    measure_compression: bool,
+) -> bool:
+    """Apply the records round by round, in Algorithm 4's order: fetchV,
+    the EC set, the budget check, verifyE. False when a region group's
+    trie overran the budget (``metrics.failed`` is set)."""
+    ex = metrics.extras
+    width = 1  # matched query vertices
+    for i, unit in enumerate(plan.units):
+        width += len(unit.leaves)
+        rs = [r for r in records if r.i == i]
+        fetched = sum(r.fetched for r in rs)
+        if fetched:
+            deg = sum(r.fetched_deg for r in rs)
+            metrics.add_comm("fetchV", (deg + 2 * fetched) * VERTEX_BYTES)
         # memory is per (machine, region group); EL/ET and the peak EC
-        # set are per region group, summed over machines. The start
-        # vertex (first in matching order) fixes m and g, so the (m, g)
-        # prefix counts add up to the group's — or, with g = 0, the
-        # cluster's — trie
-        trie_nodes = [sum(r[f"__t{j}"] for j in range(len(cols_mo))) for r in grouped]
+        # set are per region group, summed over machines
         g_rows: Counter[int] = Counter()
         g_nodes: Counter[int] = Counter()
-        for r, n in zip(grouped, trie_nodes):
-            g_rows[r["g"]] += r["__n"]
-            g_nodes[r["g"]] += n
+        for r in rs:
+            g_rows[r.g] += r.ec_rows
+            g_nodes[r.g] += r.trie_nodes
         for rows in g_rows.values():
-            metrics.see_intermediate(rows, len(matched))
-        peak_trie_bytes = max(trie_nodes, default=0) * TRIE_NODE_BYTES
-        metrics.extras["peak_group_trie_bytes"] = max(
-            metrics.extras.get("peak_group_trie_bytes", 0), peak_trie_bytes
-        )
+            metrics.see_intermediate(rows, width)
+        peak = max((r.trie_nodes for r in rs), default=0) * TRIE_NODE_BYTES
+        ex["peak_group_trie_bytes"] = max(ex.get("peak_group_trie_bytes", 0), peak)
         if measure_compression:
-            el = list_bytes(max(g_rows.values(), default=0), len(matched))
+            el = list_bytes(max(g_rows.values(), default=0), width)
             et = max(g_nodes.values(), default=0) * TRIE_NODE_BYTES
-            metrics.extras["el_bytes"] = max(metrics.extras.get("el_bytes", 0), el)
-            metrics.extras["et_bytes"] = max(metrics.extras.get("et_bytes", 0), et)
+            ex["el_bytes"] = max(ex.get("el_bytes", 0), el)
+            ex["et_bytes"] = max(ex.get("et_bytes", 0), et)
         # RADS stores intermediates in the embedding trie (Sec. 5), so
         # the per-machine memory check compares the *trie* size of the
         # group's EC set against the budget — this is what lets RADS
         # survive hub-heavy rounds that would OOM as flat lists
-        if bytes_budget is not None and peak_trie_bytes > bytes_budget:
-            raise _Budget(
-                f"round {i}: a region group's embedding trie needs "
-                f"{peak_trie_bytes / 1e6:.0f}MB, over the per-machine budget"
+        if bytes_budget is not None and peak > bytes_budget:
+            metrics.failed = True
+            metrics.fail_reason = (
+                f"round {i}: a region group's embedding trie needs {peak} B, "
+                f"over the per-machine budget of {bytes_budget} B"
             )
-
-        # ---- verify & filter: EVI = distinct undetermined pairs ----
-        for x, u in pending:
-            n_pairs = sum(r[f"__p_{x}_{u}"] for r in grouped)
-            if n_pairs:
-                metrics.add_comm("verifyE", n_pairs * VERIFY_PAIR_BYTES)
-            R = R.filter(F.col(f"__ex_{x}_{u}")).drop(
-                f"__ex_{x}_{u}", f"__ud_{x}_{u}"
-            )
-    metrics.extras["dist_embeddings"] = sum(r["__s"] for r in grouped)
-    return R
-
-
-def _fetch(
-    gc: GraphContext,
-    cache: dict[tuple[int, int], set[int]],
-    pivots: list,
-    metrics: RunMetrics,
-) -> DataFrame:
-    """fetchV on the driver: meter the adjacency of the foreign vertices
-    among ``pivots`` (distinct (m, g, __v) rows) that the (m, g) cache
-    lacks, add them to it, and return the whole cache as an (m, g, v)
-    local relation."""
-    n = d = 0
-    for r in pivots:
-        m, v = r["m"], r["__v"]
-        have = cache.setdefault((m, r["g"]), set())
-        if gc.owner_np[v] != m and v not in have:
-            have.add(v)
-            n += 1
-            d += int(gc.deg_np[v])
-    if n:
-        metrics.add_comm("fetchV", (d + 2 * n) * VERTEX_BYTES)
-    rows = [(m, g, v) for (m, g), vs in cache.items() for v in vs]
-    pdf = pd.DataFrame(np.array(rows, dtype=np.int64).reshape(-1, 3), columns=["m", "g", "v"])
-    return gc.spark.createDataFrame(pdf, "m int, g int, v long")
-
-
-def _with_cached_flag(R: DataFrame, cached: DataFrame, vcol: str, flag: str) -> DataFrame:
-    """Mark rows whose ``vcol`` vertex is in the (m, g) fetch cache."""
-    c = cached.select(
-        "m", "g", F.col("v").alias(vcol), F.lit(True).alias(flag)
-    )
-    # the fetch cache is small relative to embeddings —
-    # broadcast it like the replicated ownership map
-    return R.join(F.broadcast(c), ["m", "g", vcol], "left").withColumn(
-        flag, F.coalesce(F.col(flag), F.lit(False))
-    )
+            return False
+        pairs = sum(r.pending_pairs for r in rs)
+        if pairs:
+            metrics.add_comm("verifyE", pairs * VERIFY_PAIR_BYTES)
+    ex["dist_embeddings"] = sum(r.survivors for r in records)
+    if measure_compression:
+        ex["dist_trie_nodes"] = sum(r.final_trie_nodes for r in records)
+    return True

@@ -8,29 +8,79 @@ once (a multi-source BFS from the border vertices over local edges) and
 keeps it on the driver as ``gc.bd_np``, so the split is a filter over
 the driver's degree and BD arrays and costs no Spark job. Candidates
 with ``bd < 0`` (no border reachable) or ``bd >= span`` form C1 and are
-enumerated per machine by a TurboIso-lite backtracking enumerator inside
-``applyInPandas``.
+enumerated per machine by a TurboIso-lite backtracking enumerator over
+the machine's local adjacency.
+
+:func:`per_machine` is the operator both SM-E and R-Meef run on: each
+machine's work inside a Spark task, over the graph's broadcast adjacency.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.emtrie import trie_nodes
 from repro.core.expand import _c
-from repro.graphs.datasets import GraphContext
+from repro.core.metrics import RunMetrics
+from repro.graphs.datasets import Adjacency, GraphContext
 from repro.query.pattern import Pattern
 from repro.query.plan import Plan
 
+#: most rows in one pandas batch a per-machine task returns
+BATCH_ROWS = 1 << 17
 
-def local_edges(gc: GraphContext) -> DataFrame:
-    """(src, dst, machine): edges whose both endpoints share a machine."""
-    return gc.edges_o.filter(F.col("src_m") == F.col("dst_m")).select(
-        "src", "dst", F.col("src_m").alias("machine")
-    )
+#: what a per-machine task yields: embedding blocks and meter records
+Output = Union[np.ndarray, tuple]
+
+
+def per_machine(
+    gc: GraphContext,
+    vertices: np.ndarray,
+    task: Callable[[int, Adjacency, np.ndarray], Iterator[Output]],
+    n: int,
+) -> tuple[DataFrame, list[tuple]]:
+    """Run ``task(m, A, v_m)`` once per machine ``m`` owning some of
+    ``vertices`` (``v_m``: its share, ascending), inside Spark tasks over
+    the broadcast adjacency ``A``. The task yields blocks of embeddings
+    (int arrays, columns u0..u{n-1}) and meter records (int tuples); both
+    leave the task as rows of one ``mapInPandas`` output, the records in
+    an ``__rec`` column that is null on embedding rows. Returns the
+    embeddings, checkpointed, and the records, on the driver: two
+    actions of one Spark job each, and no shuffle. ``task`` ships to the
+    workers, so it must not capture the unpicklable GraphContext."""
+    cols = [_c(u) for u in range(n)]
+    vertices = np.sort(vertices)
+    owner = gc.owner_np[vertices]
+    share = {int(m): vertices[owner == m] for m in np.unique(owner)}
+    bc = gc.adjacency
+
+    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        for pdf in batches:
+            for m in pdf["id"].tolist():
+                if m not in share:
+                    continue
+                for out in task(m, bc.value, share[m]):
+                    if isinstance(out, tuple):  # a record, on a row of zeros
+                        rec = [0] * n + [[int(x) for x in out]]
+                        yield pd.DataFrame([rec], columns=cols + ["__rec"])
+                        continue
+                    for s in range(0, len(out), BATCH_ROWS):
+                        block = pd.DataFrame(out[s : s + BATCH_ROWS], columns=cols, dtype="int64")
+                        yield block.assign(__rec=None)
+
+    schema = ", ".join(f"{c} long" for c in cols) + ", __rec array<long>"
+    # every Python task pays a fixed start-up latency, so the machines
+    # share one wave of tasks: consecutive machine ids per partition
+    m = gc.n_machines
+    k = min(m, gc.spark.sparkContext.defaultParallelism)
+    out = gc.spark.range(0, m, 1, k).mapInPandas(run, schema).localCheckpoint()
+    rec = F.col("__rec")
+    records = [tuple(r[0]) for r in out.filter(rec.isNotNull()).select(rec).collect()]
+    return out.filter(rec.isNull()).select(*cols), records
 
 
 def candidate_split(
@@ -46,14 +96,6 @@ def candidate_split(
     bd = gc.bd_np[v]
     far = (bd < 0) | (bd >= pattern.span(u_start))
     return v[far], v[~far]
-
-
-def split_candidates(
-    gc: GraphContext, pattern: Pattern, u_start: int
-) -> tuple[DataFrame, DataFrame]:
-    """(C1, C_rest) of ``candidate_split`` as (v, machine) local relations."""
-    c1, rest = candidate_split(gc, pattern, u_start)
-    return gc.vertex_frame(c1), gc.vertex_frame(rest)
 
 
 # ---------------- backtracking enumerator (TurboIso-lite) ----------------
@@ -121,54 +163,27 @@ def enumerate_backtracking(
         del f[u0]
 
 
-def per_machine_local(
-    gc: GraphContext,
-    candidates: DataFrame,
-    fn: Callable[[int, dict[int, set[int]], list[int]], pd.DataFrame],
-    schema: str,
-) -> DataFrame:
-    """Run ``fn(machine, adj, cands)`` once per machine via
-    ``applyInPandas``: ``adj`` is the machine's local adjacency (edges
-    with both endpoints on it), ``cands`` its (machine, v) rows of
-    ``candidates``; ``fn`` returns rows of ``schema``. ``fn`` ships to
-    the workers, so it must not capture the unpicklable GraphContext."""
-    payload = local_edges(gc).select(
-        "machine", F.col("src").alias("a"), F.col("dst").alias("b"),
-        F.lit(0).alias("kind"),
-    ).unionByName(
-        candidates.select(
-            "machine", F.col("v").alias("a"), F.lit(-1).alias("b"),
-            F.lit(1).alias("kind"),
-        )
-    )
-
-    def run(pdf: pd.DataFrame) -> pd.DataFrame:
-        edges = pdf[pdf["kind"] == 0]
-        adj: dict[int, set[int]] = {}
-        for s, d in zip(edges["a"].to_numpy(), edges["b"].to_numpy()):
-            adj.setdefault(int(s), set()).add(int(d))
-        cands = [int(v) for v in pdf.loc[pdf["kind"] == 1, "a"]]
-        return fn(int(pdf["machine"].iloc[0]), adj, cands)
-
-    return payload.groupBy("machine").applyInPandas(run, schema=schema)
-
-
 def sme_enumerate(
-    gc: GraphContext, pattern: Pattern, plan: Plan, c1: DataFrame
+    gc: GraphContext, pattern: Pattern, plan: Plan, c1: np.ndarray, metrics: RunMetrics
 ) -> DataFrame:
-    """Run SM-E per machine over C1.
+    """Run SM-E per machine over the C1 vertices ``c1``.
 
     Each machine runs the backtracking enumerator from its C1
     candidates over its partition-induced subgraph — no cross-machine
-    data, exactly Prop. 1's promise. Returns embeddings with one column
-    per query vertex (u0..u{n-1}).
+    data, exactly Prop. 1's promise. Returns the embeddings, with one
+    column per query vertex (u0..u{n-1}); ``metrics.extras`` gets their
+    count (``sme_embeddings``) and the node count of their embedding
+    trie in matching order (``sme_trie_nodes``).
     """
-    cols = [_c(u) for u in range(pattern.n)]
-    order = plan.matching_order
+    order = list(plan.matching_order)
 
-    def enumerate_local(machine: int, adj: dict[int, set[int]], cands: list[int]):
-        rows = list(enumerate_backtracking(adj, pattern, order, cands))
-        return pd.DataFrame(rows, columns=cols, dtype="int64")
+    def enumerate_local(m: int, A: Adjacency, cands: np.ndarray) -> Iterator[Output]:
+        found = enumerate_backtracking(A.local(m), pattern, order, cands.tolist())
+        rows = np.array(list(found), dtype=np.int64).reshape(-1, pattern.n)
+        yield rows
+        yield len(rows), trie_nodes(rows.T[order])
 
-    schema = ", ".join(f"{c} long" for c in cols)
-    return per_machine_local(gc, c1, enumerate_local, schema)
+    df, records = per_machine(gc, c1, enumerate_local, pattern.n)
+    metrics.extras["sme_embeddings"] = sum(r[0] for r in records)
+    metrics.extras["sme_trie_nodes"] = sum(r[1] for r in records)
+    return df

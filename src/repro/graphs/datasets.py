@@ -4,19 +4,19 @@ Four synthetic analogues of the paper's graphs (DESIGN.md §3), each in
 a ``*_tiny`` (unit tests) and ``*_lite`` (benchmarks) size. The
 GraphContext carries the distributed representation:
 
-* ``edges``       — symmetric edge DataFrame (src, dst), cached; small
-                    and replicated like ``owner``, so every join against
-                    it is a broadcast join
-* ``owner``       — vertex ownership (v, machine); the paper replicates
-                    this map on every machine, so engines may broadcast it
-* ``edges_o``     — edges joined with both endpoint owners, cached
+* ``edges``       — symmetric edge DataFrame (src, dst, src_deg,
+                    dst_deg), cached; small and replicated, so every
+                    baseline join against it is a broadcast join, and the
+                    endpoint degrees ride along for the degree filter
 * ``degrees``     — (v, deg, bd): degree for candidate filtering and
                     Prop. 1's border distance (-1: no border reachable),
                     both computed once per graph on the driver
-* ``owner_np``, ``deg_np``, ``bd_np`` — the driver's arrays behind
-                    ``owner`` and ``degrees``: replicated facts that RADS's
-                    bookkeeping (candidate split, fetch cache) reads
-                    without a Spark job
+* ``owner_np``, ``deg_np``, ``bd_np`` — the driver's ownership, degree
+                    and border-distance arrays: replicated facts that
+                    RADS's candidate split reads without a Spark job
+* ``adjacency``   — one ``sc.broadcast`` of :class:`Adjacency` (CSR
+                    adjacency, sorted edge keys, ownership, degrees): the
+                    replicated graph RADS's per-machine tasks read
 * ``edges_pdf``   — symmetric pandas copy for the DuckDB oracle
 """
 from __future__ import annotations
@@ -25,16 +25,58 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
+from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.graphs.generators import (
+    adjacency_csr,
     barabasi_albert,
     degrees_of,
     grid_graph,
     watts_strogatz,
 )
 from repro.graphs.partition import bfs_partition, border_distance, hash_partition
+
+
+@dataclass(frozen=True)
+class Adjacency:
+    """The data graph as each machine's task reads it: CSR adjacency of
+    the symmetric edge set (each row's neighbours sorted), the sorted
+    edge keys ``src * n + dst``, and the replicated ownership and degree
+    arrays."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    keys: np.ndarray
+    owner: np.ndarray
+    deg: np.ndarray
+
+    def neighbors(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(i, w): one pair per edge (v[i], w), grouped by i in order and,
+        within i, by ascending w."""
+        start, cnt = self.indptr[v], self.deg[v]
+        i = np.repeat(np.arange(len(v)), cnt)
+        pos = np.arange(len(i)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        return i, self.indices[start[i] + pos]
+
+    def has_edge(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Whether each (a[k], b[k]) is an edge."""
+        if not len(self.keys):
+            return np.zeros(len(a), bool)
+        k = a.astype(np.int64) * len(self.owner) + b
+        j = np.minimum(np.searchsorted(self.keys, k), len(self.keys) - 1)
+        return self.keys[j] == k
+
+    def local(self, m: int) -> dict[int, set[int]]:
+        """Machine ``m``'s local adjacency: every vertex it owns, with
+        the neighbours it also owns."""
+        own = self.owner == m
+        src = np.repeat(np.arange(len(own)), self.deg)
+        keep = own[src] & own[self.indices]
+        adj: dict[int, set[int]] = {int(v): set() for v in np.flatnonzero(own)}
+        for a, b in zip(src[keep].tolist(), self.indices[keep].tolist()):
+            adj[a].add(b)
+        return adj
 
 
 @dataclass
@@ -49,26 +91,19 @@ class GraphContext:
     owner_np: np.ndarray  # (n,) machine per vertex
     deg_np: np.ndarray  # (n,) degree per vertex
     bd_np: np.ndarray  # (n,) border distance per vertex, -1: none reachable
-    edges: DataFrame = field(repr=False)  # symmetric, cached
-    owner: DataFrame = field(repr=False)
-    edges_o: DataFrame = field(repr=False)  # src,dst,src_m,dst_m
+    edges: DataFrame = field(repr=False)  # symmetric, with degrees, cached
     degrees: DataFrame = field(repr=False)  # v, deg, bd
+    adjacency: Broadcast = field(repr=False)  # of Adjacency
     edges_pdf: pd.DataFrame = field(repr=False)  # symmetric, for DuckDB
 
     @property
     def n_edges(self) -> int:
         return len(self.edges_np)
 
-    def vertex_frame(self, v: np.ndarray) -> DataFrame:
-        """(v, machine) of the vertex ids ``v`` as a local relation: no
-        Spark job builds it, and an empty ``v`` keeps its schema."""
-        v = np.asarray(v, dtype=np.int64)
-        pdf = pd.DataFrame({"v": v, "machine": self.owner_np[v].astype(np.int32)})
-        return self.spark.createDataFrame(pdf, "v long, machine int")
-
     def unpersist(self) -> None:
-        for df in (self.edges, self.edges_o, self.degrees, self.owner):
+        for df in (self.edges, self.degrees):
             df.unpersist()
+        self.adjacency.unpersist()
 
 
 def build_context(
@@ -94,24 +129,21 @@ def build_context(
 
     sym = np.concatenate([edges_np, edges_np[:, ::-1]])
     edges_pdf = pd.DataFrame({"src": sym[:, 0], "dst": sym[:, 1]})
-    edges = spark.createDataFrame(edges_pdf).cache()
-    owner_pdf = pd.DataFrame(
-        {"v": np.arange(n, dtype=np.int64), "machine": owner_np.astype(np.int32)}
-    )
-    owner = spark.createDataFrame(owner_pdf).cache()
-    edges_o = (
-        edges.join(F.broadcast(owner).withColumnsRenamed({"v": "src", "machine": "src_m"}), "src")
-        .join(F.broadcast(owner).withColumnsRenamed({"v": "dst", "machine": "dst_m"}), "dst")
-        .select("src", "dst", "src_m", "dst_m")
-        .cache()
-    )
     deg_np = degrees_of(edges_np, n)
     bd_np = border_distance(edges_np, owner_np)
+    edges = spark.createDataFrame(
+        edges_pdf.assign(src_deg=deg_np[sym[:, 0]], dst_deg=deg_np[sym[:, 1]])
+    ).cache()
     degrees = spark.createDataFrame(
         pd.DataFrame({"v": np.arange(n, dtype=np.int64), "deg": deg_np, "bd": bd_np})
     ).cache()
     # materialize caches once
-    edges.count(), edges_o.count(), degrees.count(), owner.count()
+    edges.count(), degrees.count()
+    indptr, indices = adjacency_csr(edges_np, n)
+    keys = np.repeat(np.arange(n, dtype=np.int64), deg_np) * n + indices
+    adjacency = spark.sparkContext.broadcast(
+        Adjacency(indptr, indices, keys, owner_np, deg_np)
+    )
     return GraphContext(
         spark=spark,
         name=name,
@@ -122,9 +154,8 @@ def build_context(
         deg_np=deg_np,
         bd_np=bd_np,
         edges=edges,
-        owner=owner,
-        edges_o=edges_o,
         degrees=degrees,
+        adjacency=adjacency,
         edges_pdf=edges_pdf,
     )
 

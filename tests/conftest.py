@@ -3,11 +3,11 @@ the Spark caches amortize across test modules) and the Crystal index.
 
 Shuffle partitions are tuned down at runtime for the tiny inputs — a
 per-workload knob; automatic broadcast joins stay disabled as the root
-conftest dictates. Joins against the replicated edge table, ownership
-map and degrees carry explicit broadcast hints, so expansion does not
+conftest dictates. Joins against the replicated edge table and degrees
+carry explicit broadcast hints, so the baselines' expansion does not
 shuffle (``test_plan_shape.py`` guards that); the TwinTwig/SEED unit
-joins and R-Meef's metering aggregates (with the distinct next-round
-pivots that feed the driver-side fetch cache) still do.
+joins still do. RADS joins nothing: each machine's work is one task
+over the graph's broadcast adjacency.
 """
 import pytest
 

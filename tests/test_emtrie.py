@@ -1,15 +1,11 @@
 """Embedding-trie tests: Definition 11 invariants, Example 6, removal
-cascade, and equality between the in-memory trie and the distributed
-prefix-count (so Table 3/4 numbers are exact, not estimated)."""
-import pandas as pd
+cascade, and equality between the in-memory trie and the numpy
+prefix-count the machines' tasks use (so Table 3/4 numbers are exact,
+not estimated)."""
+import numpy as np
 import pytest
 
-from repro.core.emtrie import (
-    EmbeddingTrie,
-    list_bytes,
-    trie_bytes_spark,
-    trie_nodes_spark,
-)
+from repro.core.emtrie import EmbeddingTrie, list_bytes, trie_nodes
 from repro.core.metrics import TRIE_NODE_BYTES
 
 
@@ -102,24 +98,22 @@ def test_compression_beats_list_on_shared_prefixes():
     assert t.nbytes < list_bytes(len(rows), 3)
 
 
-# ---------------- distributed node count == in-memory trie ----------------
+# ---------------- prefix count == in-memory trie ----------------
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_spark_prefix_count_matches_trie(spark_tuned, seed):
+def test_prefix_count_matches_trie(seed):
     import random
 
     rng = random.Random(seed)
-    rows = sorted(
-        {
-            (rng.randrange(5), rng.randrange(6), rng.randrange(7), rng.randrange(8))
-            for _ in range(150)
-        }
-    )
+    rows = [
+        (rng.randrange(5), rng.randrange(6), rng.randrange(7), rng.randrange(8))
+        for _ in range(150)
+    ]
     t = EmbeddingTrie()
     for r in rows:
         t.insert(r)
-    df = spark_tuned.createDataFrame(
-        pd.DataFrame(rows, columns=["a", "b", "c", "d"])
-    )
-    assert trie_nodes_spark(df, ["a", "b", "c", "d"]) == t.node_count
-    assert trie_bytes_spark(df, ["a", "b", "c", "d"]) == t.nbytes
+    cols = list(np.array(rows).T)  # unsorted, with duplicates
+    assert trie_nodes(cols) == t.node_count
+    assert trie_nodes(cols) * TRIE_NODE_BYTES == t.nbytes
+    assert trie_nodes(cols[:2]) == len({r[:1] for r in rows}) + len({r[:2] for r in rows})
+    assert trie_nodes([c[:0] for c in cols]) == 0

@@ -8,6 +8,12 @@ EL/ET, rounds, region-group count) and the embedding counts must not
 move. DBLP runs with a region-group target Φ of 4000 B, which gives
 several groups per machine; RoadNet runs Table 3's call
 (``measure_compression``), where SM-E takes most start candidates.
+
+The budget failures pin the numbers metered up to the round whose
+region-group trie overruns the budget (Φ = budget // 8, as the tables
+run RADS). They were recorded while the rounds still ran as Spark jobs
+driven from the driver, so they guard the per-round records the
+machines' tasks return now.
 """
 import pytest
 
@@ -38,6 +44,15 @@ PINNED = {
     "road.q8": {"c1_candidates": 85, "comm.fetchV": 2408, "el_bytes": 51200, "et_bytes": 57320, "n_embeddings": 182, "peak_group_trie_bytes": 17400, "peak_intermediate_bytes": 51200, "rounds": 2, "sme_embeddings": 79},
 }
 
+#: graph.query.budget -> (failing round, metered numbers at the failure)
+FAILING = {
+    "dblp.q3.2000": (1, {"c1_candidates": 19, "comm.fetchV": 11936, "n_embeddings": 0, "n_region_groups": 141, "peak_group_trie_bytes": 2540, "peak_intermediate_bytes": 6720, "rounds": 3, "sme_embeddings": 139}),
+    "dblp.q6.8000": (2, {"c1_candidates": 3, "comm.fetchV": 46048, "n_embeddings": 0, "n_region_groups": 157, "peak_group_trie_bytes": 10740, "peak_intermediate_bytes": 30760, "rounds": 4, "sme_embeddings": 43}),
+    "dblp.q6.30000": (2, {"c1_candidates": 3, "comm.fetchV": 29824, "n_embeddings": 0, "n_region_groups": 35, "peak_group_trie_bytes": 34540, "peak_intermediate_bytes": 135800, "rounds": 4, "sme_embeddings": 43}),
+    "lj.q5.2000": (0, {"c1_candidates": 0, "n_embeddings": 0, "n_region_groups": 31, "peak_group_trie_bytes": 157540, "peak_intermediate_bytes": 243104, "rounds": 3, "sme_embeddings": 0}),
+}
+FIXTURES = {"dblp": "gc_dblp", "lj": "gc_lj"}
+
 EXTRAS = (
     "peak_group_trie_bytes", "el_bytes", "et_bytes", "n_region_groups",
     "sme_embeddings", "c1_candidates",
@@ -60,3 +75,15 @@ def test_rads_meter_pinned(request, key):
     _, met = run_rads(request.getfixturevalue(fixture), QUERIES[qn], qn, **kw)
     assert not met.failed, met.fail_reason
     assert _record(met) == PINNED[key]
+
+
+@pytest.mark.parametrize("key", sorted(FAILING))
+def test_rads_budget_failure_pinned(request, key):
+    graph, qn, budget = key.split(".")
+    budget = int(budget)
+    gc = request.getfixturevalue(FIXTURES[graph])
+    df, met = run_rads(gc, QUERIES[qn], qn, bytes_budget=budget, group_mem_bytes=budget // 8)
+    fails_at, pinned = FAILING[key]
+    assert met.failed and df is None
+    assert met.fail_reason.startswith(f"round {fails_at}: ")
+    assert _record(met) == pinned

@@ -1,14 +1,14 @@
 """RADS integration tests: every query's embedding set must equal the
 DuckDB oracle's, across datasets, partitioners and engine options
 (SM-E on/off, region groups, memory budget)."""
+import numpy as np
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.engine import run_rads
 from repro.core.metrics import RunMetrics
-from repro.core.regions import assign_region_groups_spark
+from repro.core.regions import region_groups
 from repro.core.rmeef import run_rmeef
-from repro.core.sme import split_candidates
+from repro.core.sme import candidate_split
 from repro.oracle import assert_equivalent
 from repro.query.plan import choose_plan, random_minround_plan, random_star_plan
 from repro.query.queries import ALL_QUERIES, QUERIES
@@ -77,19 +77,27 @@ def test_rmeef_grouped_meter_equals_per_group_runs(gc_dblp):
     peak intermediate is the largest group's."""
     p = QUERIES["q5"]  # 3 rounds: the fetch cache is reused across rounds
     plan = choose_plan(p)
-    c1, rest = split_candidates(gc_dblp, p, plan.units[0].piv)
-    groups = assign_region_groups_spark(gc_dblp, c1.unionByName(rest), 8).localCheckpoint()
-    assert groups.select("machine", "g").distinct().count() > gc_dblp.n_machines
+    start = np.concatenate(candidate_split(gc_dblp, p, plan.units[0].piv))
+    # Algorithm 3 per machine, as the machines' tasks run it
+    A = gc_dblp.adjacency.value
+    owner = gc_dblp.owner_np[start]
+    groups = {
+        m: region_groups(A.local(m), np.sort(start[owner == m]), 8, seed=m)
+        for m in range(gc_dblp.n_machines)
+    }
+    assert sum(map(len, groups.values())) > gc_dblp.n_machines
 
-    def meter(groups):
+    def meter(start, max_group_size=None):
         met = RunMetrics("rads", "q5", gc_dblp.name)
-        assert run_rmeef(gc_dblp, p, plan, groups, met) is not None
+        assert run_rmeef(gc_dblp, p, plan, start, met, max_group_size=max_group_size) is not None
         return met
 
-    whole = meter(groups)
+    whole = meter(start, 8)
+    assert whole.extras["n_region_groups"] == sum(map(len, groups.values()))
+    # group id g of every machine at once: one group per machine
     parts = [
-        meter(groups.filter(F.col("g") == gid))
-        for (gid,) in sorted(groups.select("g").distinct().collect())
+        meter(np.concatenate([gs[gid] for gs in groups.values() if gid < len(gs)]))
+        for gid in range(max(map(len, groups.values())))
     ]
     assert len(parts) > 1
     for kind in ("fetchV", "verifyE"):
@@ -105,7 +113,10 @@ def test_rads_budget_failure(gc_lj):
     p = QUERIES["q6"]
     df, met = run_rads(gc_lj, p, "q6", bytes_budget=64)
     assert met.failed and df is None
-    assert "budget" in met.fail_reason
+    # the bytes the failing round's trie needs, and the budget
+    need = met.extras["peak_group_trie_bytes"]
+    assert need > 64
+    assert f"needs {need} B, over the per-machine budget of 64 B" in met.fail_reason
 
 
 def test_rads_random_plans_same_answer(gc_dblp):

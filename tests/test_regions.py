@@ -1,13 +1,23 @@
 """Region-group tests (Algorithm 3): coverage, cap, proximity behaviour
-on the paper's Figure 6 scenario, and the Spark per-machine wrapper."""
-import pytest
-from pyspark.sql import functions as F
+on the paper's Figure 6 scenario, and the grouping as each machine's
+Spark task runs it."""
+from collections import Counter
+from typing import Iterable
 
-from repro.core.regions import (
-    assign_region_groups_spark,
-    greedy_region_groups,
-    proximity,
-)
+import numpy as np
+import pytest
+
+from repro.core.regions import greedy_region_groups, region_groups
+from repro.core.sme import per_machine
+
+
+def proximity(adj: dict[int, set[int]], v: int, rg: Iterable[int]) -> float:
+    """Eq. (5): fraction of v's neighbors adjacent to the group."""
+    nb = set()
+    for u in rg:
+        nb |= adj.get(u, set())
+    d = adj.get(v, set())
+    return len(d & nb) / max(1, len(d))
 
 
 def _fig6_adj():
@@ -51,8 +61,6 @@ def test_grouping_covers_everything():
 def test_group_size_cap(cap):
     adj = _fig6_adj()
     groups = greedy_region_groups(adj, [0, 1, 2, 3], max_group_size=cap, seed=0)
-    from collections import Counter
-
     assert max(Counter(groups.values()).values()) <= cap
 
 
@@ -64,20 +72,19 @@ def test_disconnected_candidates_get_groups():
 
 
 def test_spark_region_groups(gc_dblp):
-    p_deg = 2
-    cands = (
-        gc_dblp.degrees.filter(F.col("deg") >= p_deg)
-        .join(F.broadcast(gc_dblp.owner), "v")
-        .select("v", "machine")
-    )
-    n_cands = cands.count()
-    out = assign_region_groups_spark(gc_dblp, cands, max_group_size=10)
-    rows = out.collect()
-    assert len(rows) == n_cands  # every candidate assigned exactly once
-    from collections import Counter
+    """Algorithm 3 in one Spark task per machine, over its local
+    adjacency: (machine, v, g) rows."""
+    cands = np.flatnonzero(gc_dblp.deg_np >= 2)
 
-    sizes = Counter((r["machine"], r["g"]) for r in rows)
+    def group_local(m, A, vs):
+        for g, members in enumerate(region_groups(A.local(m), vs, 10, seed=m)):
+            yield np.column_stack([np.full(len(members), m), members, np.full(len(members), g)])
+
+    out, _ = per_machine(gc_dblp, cands, group_local, 3)
+    rows = [tuple(r) for r in out.collect()]  # (machine, v, g)
+    assert sorted(v for _, v, _ in rows) == cands.tolist()  # each exactly once
+    sizes = Counter((m, g) for m, _, g in rows)
     assert max(sizes.values()) <= 10
     # groups respect machine ownership
-    for r in rows:
-        assert gc_dblp.owner_np[r["v"]] == r["machine"]
+    for m, v, _ in rows:
+        assert gc_dblp.owner_np[v] == m

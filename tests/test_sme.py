@@ -5,7 +5,8 @@ from collections import deque
 import numpy as np
 import pytest
 
-from repro.core.sme import enumerate_backtracking, sme_enumerate, split_candidates
+from repro.core.metrics import RunMetrics
+from repro.core.sme import candidate_split, enumerate_backtracking, sme_enumerate
 from repro.graphs.datasets import build_context
 from repro.query.pattern import Pattern, count_injective_homomorphisms
 from repro.query.plan import choose_plan
@@ -88,9 +89,8 @@ def test_split_candidates_partitions(path_gc):
     p = Pattern(3, ((0, 1), (1, 2)), "path3")  # span(1) = 1
     pl = choose_plan(p)
     u0 = pl.units[0].piv
-    c1, rest = split_candidates(path_gc, p, u0)
-    c1v = {r["v"] for r in c1.collect()}
-    restv = {r["v"] for r in rest.collect()}
+    c1, rest = candidate_split(path_gc, p, u0)
+    c1v, restv = set(c1.tolist()), set(rest.tolist())
     assert c1v.isdisjoint(restv)
     # all degree-qualified vertices covered
     deg_ok = {
@@ -151,9 +151,10 @@ def test_backtracking_respects_start_candidates():
 def test_sme_embeddings_are_fully_local(gc_road):
     p = QUERIES["q1"]
     pl = choose_plan(p)
-    c1, _ = split_candidates(gc_road, p, pl.units[0].piv)
-    df = sme_enumerate(gc_road, p, pl, c1)
-    rows = df.collect()
+    c1, _ = candidate_split(gc_road, p, pl.units[0].piv)
+    met = RunMetrics("rads", "q1", gc_road.name)
+    rows = sme_enumerate(gc_road, p, pl, c1, met).collect()
+    assert len(rows) == met.extras["sme_embeddings"] > 0
     owner = gc_road.owner_np
     for r in rows:
         machines = {owner[r[f"u{u}"]] for u in range(p.n)}
