@@ -2,16 +2,16 @@
 
 Two views of the same structure:
 
-* :class:`EmbeddingTrie` — the literal in-memory trie of Definition 11
-  (per-machine, used by tests and by the SM-E cost estimator). Supports
+* :class:`EmbeddingTrie` — the literal in-memory trie of Definition 11,
+  the reference the tests check :func:`trie_nodes` against. Supports
   insert / remove-with-cascade / retrieval by leaf id, exactly as the
   paper's maintenance algorithms require.
 * :func:`trie_nodes` — exact node count of the trie a machine *would*
   build for a set of result lists, in numpy: level-j nodes are the
   distinct j+1-prefixes of the lists in matching order (the trie merges
-  equal prefixes). SM-E and R-Meef's per-machine tasks count their
-  embeddings' and EC sets' tries with it, for the memory check and the
-  Table 3/4 compression experiment.
+  equal prefixes). The per-machine kernel (``core.expand.expand_rounds``)
+  counts its EC sets' and results' tries with it, for the memory check
+  and the Table 3/4 compression experiment.
 """
 from __future__ import annotations
 

@@ -2,16 +2,16 @@
 
 ``run_rads`` is the full system of the paper: it splits the start-vertex
 candidates by border distance (Prop. 1), enumerates the far-from-border
-ones with the single-machine algorithm per machine, region-groups the
-rest, and runs the distributed R-Meef rounds over them. The union is
-the answer; the metrics object carries the simulated communication and
-memory costs.
+ones on their own machines (SM-E), region-groups the rest, and runs the
+distributed R-Meef rounds over them. The union is the answer; the
+metrics object carries the simulated communication and memory costs.
 
 Each machine's work runs inside a Spark task over the graph's
 broadcast adjacency, in two jobs: SM-E over the C1 candidates, then
-Algorithm 3 and every R-Meef round over the rest. A warm call issues
-four driver actions (a checkpoint and a record collect per job),
-whatever the round count. The candidate split, Φ's group cap, the metering and the
+Algorithm 3 and every R-Meef round over the rest. Both run one numpy
+kernel, ``core.expand.expand_rounds``. A warm call issues four driver
+actions (a checkpoint and a record collect per job), whatever the round
+count. The candidate split, Φ's group cap, the metering and the
 embedding count are bookkeeping on the driver: the split reads the
 graph's replicated degree and border-distance arrays, and the rest
 comes from the tasks' meter records.
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 from pyspark.sql import DataFrame
 
 from repro.core.emtrie import list_bytes
@@ -40,7 +39,6 @@ def run_rads(
     *,
     bytes_budget: int | None = None,
     group_mem_bytes: int | None = None,
-    use_sme: bool = True,
     measure_compression: bool = False,
 ) -> tuple[DataFrame | None, RunMetrics]:
     """Enumerate ``pattern`` with RADS. Returns (embeddings, metrics);
@@ -49,8 +47,6 @@ def run_rads(
     * ``bytes_budget`` — simulated per-machine memory; exceeded ⇒ failed.
     * ``group_mem_bytes`` — Φ for region grouping (Alg. 3); None ⇒ one
       region group per machine.
-    * ``use_sme=False`` disables Prop. 1 (everything distributed) — used
-      by the ablation experiment.
     """
     t0 = time.perf_counter()
     metrics = RunMetrics("rads", query_name or pattern.name, gc.name)
@@ -58,8 +54,6 @@ def run_rads(
     u_start = plan.units[0].piv
 
     c1, rest = candidate_split(gc, pattern, u_start)
-    if not use_sme:
-        c1, rest = c1[:0], np.union1d(c1, rest)
 
     # --- SM-E per machine (Prop. 1 candidates) ---
     sme_df = sme_enumerate(gc, pattern, plan, c1, metrics)

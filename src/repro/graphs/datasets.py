@@ -8,12 +8,13 @@ GraphContext carries the distributed representation:
                     dst_deg), cached; small and replicated, so every
                     baseline join against it is a broadcast join, and the
                     endpoint degrees ride along for the degree filter
-* ``degrees``     — (v, deg, bd): degree for candidate filtering and
-                    Prop. 1's border distance (-1: no border reachable),
-                    both computed once per graph on the driver
+* ``degrees``     — (v, deg): degree for the baselines' candidate
+                    filtering, cached
 * ``owner_np``, ``deg_np``, ``bd_np`` — the driver's ownership, degree
-                    and border-distance arrays: replicated facts that
-                    RADS's candidate split reads without a Spark job
+                    and border-distance arrays (Prop. 1's BD, -1: no
+                    border reachable), computed once per graph:
+                    replicated facts that RADS's candidate split reads
+                    without a Spark job
 * ``adjacency``   — one ``sc.broadcast`` of :class:`Adjacency` (CSR
                     adjacency, sorted edge keys, ownership, degrees): the
                     replicated graph RADS's per-machine tasks read
@@ -67,9 +68,19 @@ class Adjacency:
         j = np.minimum(np.searchsorted(self.keys, k), len(self.keys) - 1)
         return self.keys[j] == k
 
+    @classmethod
+    def of(cls, edges_np: np.ndarray, owner: np.ndarray) -> "Adjacency":
+        """The graph of the canonical edges ``edges_np`` (src < dst) on
+        the vertices ``0..len(owner)-1``, owned as ``owner`` says."""
+        n = len(owner)
+        deg = degrees_of(edges_np, n)
+        indptr, indices = adjacency_csr(edges_np, n)
+        keys = np.repeat(np.arange(n, dtype=np.int64), deg) * n + indices
+        return cls(indptr, indices, keys, owner, deg)
+
     def local(self, m: int) -> dict[int, set[int]]:
-        """Machine ``m``'s local adjacency: every vertex it owns, with
-        the neighbours it also owns."""
+        """Machine ``m``'s local adjacency, Algorithm 3's input: every
+        vertex it owns, with the neighbours it also owns."""
         own = self.owner == m
         src = np.repeat(np.arange(len(own)), self.deg)
         keep = own[src] & own[self.indices]
@@ -92,7 +103,7 @@ class GraphContext:
     deg_np: np.ndarray  # (n,) degree per vertex
     bd_np: np.ndarray  # (n,) border distance per vertex, -1: none reachable
     edges: DataFrame = field(repr=False)  # symmetric, with degrees, cached
-    degrees: DataFrame = field(repr=False)  # v, deg, bd
+    degrees: DataFrame = field(repr=False)  # v, deg
     adjacency: Broadcast = field(repr=False)  # of Adjacency
     edges_pdf: pd.DataFrame = field(repr=False)  # symmetric, for DuckDB
 
@@ -129,21 +140,16 @@ def build_context(
 
     sym = np.concatenate([edges_np, edges_np[:, ::-1]])
     edges_pdf = pd.DataFrame({"src": sym[:, 0], "dst": sym[:, 1]})
-    deg_np = degrees_of(edges_np, n)
-    bd_np = border_distance(edges_np, owner_np)
+    A = Adjacency.of(edges_np, owner_np)
+    deg_np = A.deg
     edges = spark.createDataFrame(
         edges_pdf.assign(src_deg=deg_np[sym[:, 0]], dst_deg=deg_np[sym[:, 1]])
     ).cache()
     degrees = spark.createDataFrame(
-        pd.DataFrame({"v": np.arange(n, dtype=np.int64), "deg": deg_np, "bd": bd_np})
+        pd.DataFrame({"v": np.arange(n, dtype=np.int64), "deg": deg_np})
     ).cache()
     # materialize caches once
     edges.count(), degrees.count()
-    indptr, indices = adjacency_csr(edges_np, n)
-    keys = np.repeat(np.arange(n, dtype=np.int64), deg_np) * n + indices
-    adjacency = spark.sparkContext.broadcast(
-        Adjacency(indptr, indices, keys, owner_np, deg_np)
-    )
     return GraphContext(
         spark=spark,
         name=name,
@@ -152,10 +158,10 @@ def build_context(
         edges_np=edges_np,
         owner_np=owner_np,
         deg_np=deg_np,
-        bd_np=bd_np,
+        bd_np=border_distance(edges_np, owner_np),
         edges=edges,
         degrees=degrees,
-        adjacency=adjacency,
+        adjacency=spark.sparkContext.broadcast(A),
         edges_pdf=edges_pdf,
     )
 

@@ -1,6 +1,6 @@
 """RADS integration tests: every query's embedding set must equal the
 DuckDB oracle's, across datasets, partitioners and engine options
-(SM-E on/off, region groups, memory budget)."""
+(R-Meef alone, region groups, memory budget)."""
 import numpy as np
 import pytest
 
@@ -54,8 +54,17 @@ def test_rads_oracle_hash_partition(gc_dblp_hash, qn):
 
 @pytest.mark.parametrize("qn", ["q2", "q4"])
 def test_rads_without_sme_same_answer(gc_dblp, qn):
-    met = _check(gc_dblp, qn, use_sme=False)
-    assert met.extras["sme_embeddings"] == 0
+    """R-Meef alone, over every degree-filtered candidate (C1 included),
+    finds the whole answer."""
+    p = QUERIES[qn]
+    plan = choose_plan(p)
+    c1, rest = candidate_split(gc_dblp, p, plan.units[0].piv)
+    assert len(c1) > 0
+    met = RunMetrics("rads", qn, gc_dblp.name)
+    df = run_rmeef(gc_dblp, p, plan, np.union1d(c1, rest), met)
+    assert not met.failed, met.fail_reason
+    assert_equivalent(df, pattern_sql(p), edges=gc_dblp.edges_pdf)
+    assert met.extras["dist_embeddings"] == df.count() > 0
 
 
 @pytest.mark.parametrize("qn", ["q1", "q4"])

@@ -1,13 +1,14 @@
 """SM-E tests: border distance (Prop. 1's precondition, a per-graph
-column), the candidate split, and the backtracking enumerator."""
+array), the candidate split, and the per-machine kernel SM-E runs."""
 from collections import deque
 
 import numpy as np
 import pytest
 
+from repro.core.expand import expand_rounds
 from repro.core.metrics import RunMetrics
-from repro.core.sme import candidate_split, enumerate_backtracking, sme_enumerate
-from repro.graphs.datasets import build_context
+from repro.core.sme import candidate_split, sme_enumerate
+from repro.graphs.datasets import Adjacency, build_context
 from repro.query.pattern import Pattern, count_injective_homomorphisms
 from repro.query.plan import choose_plan
 from repro.query.queries import QUERIES
@@ -25,7 +26,7 @@ def path_gc(spark_tuned):
 
 
 def _bd(gc) -> dict[int, int]:
-    return {r["v"]: r["bd"] for r in gc.degrees.collect()}
+    return dict(enumerate(gc.bd_np.tolist()))
 
 
 def test_border_vertices_on_path(path_gc):
@@ -93,10 +94,7 @@ def test_split_candidates_partitions(path_gc):
     c1v, restv = set(c1.tolist()), set(rest.tolist())
     assert c1v.isdisjoint(restv)
     # all degree-qualified vertices covered
-    deg_ok = {
-        r["v"]
-        for r in path_gc.degrees.filter(f"deg >= {p.degree(u0)}").collect()
-    }
+    deg_ok = set(np.flatnonzero(path_gc.deg_np >= p.degree(u0)).tolist())
     assert c1v | restv == deg_ok
     # Prop. 1 precondition: C1 vertices have BD >= span
     span = p.span(u0)
@@ -104,7 +102,7 @@ def test_split_candidates_partitions(path_gc):
     assert c1v.isdisjoint(near)
 
 
-# ---------------- backtracking enumerator ----------------
+# ---------------- the per-machine kernel ----------------
 
 def _adj(edges):
     a = {}
@@ -114,13 +112,23 @@ def _adj(edges):
     return a
 
 
-def test_backtracking_triangle_in_k4():
-    adj = _adj([(a, b) for a in range(4) for b in range(a + 1, 4)])
-    res = list(enumerate_backtracking(adj, TRIANGLE, (0, 1, 2), adj.keys()))
+def _enumerate(edges, pattern, plan, start):
+    """Embeddings (tuples indexed by query-vertex id) the kernel finds
+    from ``start`` on one machine owning the whole graph of ``edges``."""
+    e = np.array(sorted((min(x, y), max(x, y)) for x, y in edges), np.int64)
+    A = Adjacency.of(e, np.zeros(int(e.max()) + 1, np.int64))
+    start = np.array(sorted(start), np.int64)
+    _, rows = expand_rounds(A, pattern, plan, 0, 0, start, plan.rounds, None, False)
+    return [tuple(r) for r in rows.tolist()]
+
+
+def test_kernel_triangle_in_k4():
+    edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    res = _enumerate(edges, TRIANGLE, choose_plan(TRIANGLE), range(4))
     assert len(res) == 4  # C(4,3) under symmetry breaking
 
 
-def test_backtracking_matches_bruteforce():
+def test_kernel_matches_bruteforce():
     import random
 
     rng = random.Random(5)
@@ -128,34 +136,42 @@ def test_backtracking_matches_bruteforce():
     adj = _adj(edges)
     for qn in ("q1", "q2", "q4"):
         p = QUERIES[qn]
-        pl = choose_plan(p)
-        got = len(list(enumerate_backtracking(adj, p, pl.matching_order, adj.keys())))
+        got = len(_enumerate(edges, p, choose_plan(p), adj.keys()))
         want = count_injective_homomorphisms(p, adj) // len(p.automorphisms)
         assert got == want, qn
 
 
-def test_backtracking_respects_start_candidates():
-    adj = _adj([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+def test_kernel_respects_start_candidates():
+    edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]
     pl = choose_plan(TRIANGLE)
-    order = pl.matching_order
-    all_res = list(enumerate_backtracking(adj, TRIANGLE, order, adj.keys()))
-    some = list(enumerate_backtracking(adj, TRIANGLE, order, [adj and 2]))
+    all_res = _enumerate(edges, TRIANGLE, pl, _adj(edges).keys())
+    some = _enumerate(edges, TRIANGLE, pl, [2])
     assert set(some) <= set(all_res)
-    # results from a start set only map order[0] into that set
-    u0 = order[0]
+    # results from a start set only map the start vertex into that set
+    u0 = pl.units[0].piv
     assert all(r[u0] == 2 for r in some)
 
 
 # ---------------- SM-E locality (Prop. 1 end-to-end) ----------------
 
-def test_sme_embeddings_are_fully_local(gc_road):
+@pytest.mark.parametrize("fixture", ["gc_road", "gc_dblp", "gc_dblp_hash"])
+def test_sme_embeddings_are_fully_local(request, fixture):
+    gc = request.getfixturevalue(fixture)
     p = QUERIES["q1"]
     pl = choose_plan(p)
-    c1, _ = candidate_split(gc_road, p, pl.units[0].piv)
-    met = RunMetrics("rads", "q1", gc_road.name)
-    rows = sme_enumerate(gc_road, p, pl, c1, met).collect()
-    assert len(rows) == met.extras["sme_embeddings"] > 0
-    owner = gc_road.owner_np
+    c1, _ = candidate_split(gc, p, pl.units[0].piv)
+    met = RunMetrics("rads", "q1", gc.name)
+    rows = sme_enumerate(gc, p, pl, c1, met).collect()
+    assert len(rows) == met.extras["sme_embeddings"]
+    # hash partitioning leaves no tiny-DBLP vertex far from a border
+    assert (len(rows) > 0) == (fixture != "gc_dblp_hash")
+    owner = gc.owner_np
     for r in rows:
         machines = {owner[r[f"u{u}"]] for u in range(p.n)}
         assert len(machines) == 1  # never crosses a machine
+    # Prop. 1 inside each machine's kernel: every edge is decided on the
+    # spot, so no round fetches a pivot or leaves an edge pending
+    A = gc.adjacency.value
+    for m in np.unique(owner[c1]).tolist():
+        records, _ = expand_rounds(A, p, pl, m, 0, c1[owner[c1] == m], pl.rounds, None, True)
+        assert [(r.fetched, r.pending_pairs) for r in records] == [(0, 0)] * len(records)
