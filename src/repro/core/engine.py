@@ -7,14 +7,16 @@ distributed R-Meef rounds over them. The union is the answer; the
 metrics object carries the simulated communication and memory costs.
 
 Each machine's work runs inside a Spark task over the graph's
-broadcast adjacency, in two jobs: SM-E over the C1 candidates, then
-Algorithm 3 and every R-Meef round over the rest. Both run one numpy
-kernel, ``core.expand.expand_rounds``. A warm call issues four driver
-actions (a checkpoint and a record collect per job), whatever the round
-count. The candidate split, Φ's group cap, the metering and the
-embedding count are bookkeeping on the driver: the split reads the
-graph's replicated degree and border-distance arrays, and the rest
-comes from the tasks' meter records.
+broadcast adjacency: SM-E over the C1 candidates, then Algorithm 3 and
+every R-Meef round over the rest, both with one numpy kernel,
+``core.expand.expand_rounds``. Only Φ's group cap reads SM-E's output,
+so a warm call runs one Spark job, whatever the round count, and two
+when Φ is set and C1 is not empty: SM-E's job first, then R-Meef's.
+Each job is one driver action, a checkpoint; the tasks' meter records
+return through an accumulator. The candidate split, Φ's group cap, the
+metering and the embedding count are bookkeeping on the driver: the
+split reads the graph's replicated degree and border-distance arrays,
+and the rest comes from the meter records.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from pyspark.sql import DataFrame
 from repro.core.emtrie import list_bytes
 from repro.core.metrics import TRIE_NODE_BYTES, VERTEX_BYTES, RunMetrics
 from repro.core.rmeef import run_rmeef
-from repro.core.sme import candidate_split, sme_enumerate
+from repro.core.sme import MachineJob, candidate_split, sme_enumerate
 from repro.graphs.datasets import GraphContext
 from repro.query.pattern import Pattern
 from repro.query.plan import Plan, choose_plan
@@ -54,15 +56,18 @@ def run_rads(
     u_start = plan.units[0].piv
 
     c1, rest = candidate_split(gc, pattern, u_start)
-
-    # --- SM-E per machine (Prop. 1 candidates) ---
-    sme_df = sme_enumerate(gc, pattern, plan, c1, metrics)
-    n_sme = metrics.extras["sme_embeddings"]
     metrics.extras["c1_candidates"] = len(c1)
+
+    # --- SM-E per machine (Prop. 1 candidates), in R-Meef's job unless
+    # Φ's group cap needs SM-E's embedding count first (an empty C1
+    # runs no job) ---
+    job = MachineJob(gc, pattern.n)
+    sme_df = sme_enumerate(gc, pattern, plan, c1, metrics, job, flush=group_mem_bytes is not None)
 
     # --- region groups: Φ / (estimated rows per candidate, from SM-E) ---
     max_group = None
     if group_mem_bytes is not None:
+        n_sme = metrics.extras["sme_embeddings"]
         est_rows = max(1.0, n_sme / max(1, len(c1)))
         per_cand_bytes = est_rows * pattern.n * VERTEX_BYTES
         max_group = max(1, int(group_mem_bytes // per_cand_bytes))
@@ -74,13 +79,14 @@ def run_rads(
         max_group_size=max_group,
         bytes_budget=bytes_budget,
         measure_compression=measure_compression,
+        job=job,
     )
     if dist_df is None:
         metrics.elapsed_s = time.perf_counter() - t0
         return None, metrics
 
-    out = sme_df.unionByName(dist_df)
-    metrics.n_embeddings = n_sme + metrics.extras["dist_embeddings"]
+    out = dist_df if sme_df is None else sme_df.unionByName(dist_df)
+    metrics.n_embeddings = metrics.extras["sme_embeddings"] + metrics.extras["dist_embeddings"]
     if measure_compression:
         # include the final result set (SM-E + distributed) in the
         # EL-vs-ET comparison, stored in matching order like the trie;

@@ -1,7 +1,8 @@
 """R-Meef: region-grouped multi-round expand / verify & filter (Sec. 3.2).
 
 Each machine runs its share of the distributed phase inside a Spark
-task over the graph's broadcast adjacency (``sme.per_machine``), as in
+task over the graph's broadcast adjacency (``sme.per_machine``), in the
+same task as its SM-E share unless SM-E had to run first, as in
 Algorithm 4: it region-groups its start candidates (Algorithm 3 over
 its local adjacency, seed ``m``) and runs every round of one group after
 another with :func:`repro.core.expand.expand_rounds`, in numpy. Every
@@ -15,10 +16,10 @@ embedding trie overruns the budget stops there, and so do the later
 groups of its task.
 
 Communication metering (DESIGN.md §2): the task returns one record per
-(m, g, round) and the driver applies them round by round. fetchV =
-adjacency bytes of newly fetched foreign pivots; verifyE = 17 bytes per
-distinct pending pair. The start vertex fixes m and g, so every count
-adds up over tasks.
+(m, g, round), through an accumulator, and the driver applies them
+round by round. fetchV = adjacency bytes of newly fetched foreign
+pivots; verifyE = 17 bytes per distinct pending pair. The start vertex
+fixes m and g, so every count adds up over tasks.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from repro.core.metrics import (
     RunMetrics,
 )
 from repro.core.regions import region_groups
-from repro.core.sme import Output, per_machine
+from repro.core.sme import MachineJob, Output
 from repro.graphs.datasets import Adjacency, GraphContext
 from repro.query.pattern import Pattern
 from repro.query.plan import Plan
@@ -53,13 +54,16 @@ def run_rmeef(
     max_group_size: int | None = None,
     bytes_budget: int | None = None,
     measure_compression: bool = False,
+    job: MachineJob | None = None,
 ) -> DataFrame | None:
     """Run the distributed phase from the dp0.piv candidates ``start``;
     returns the embedding DataFrame (columns u0..u{n-1}) or None when
     the budget was exceeded (``metrics.failed`` is set).
     ``max_group_size`` caps Algorithm 3's region groups (None: one group
     per machine). ``metrics.extras["dist_embeddings"]`` gets the number
-    of embeddings found."""
+    of embeddings found. The phase joins ``job`` (a new one when None)
+    and runs it: the embeddings returned are those of every phase the
+    job held."""
     metrics.rounds = plan.rounds
 
     def machine(m: int, A: Adjacency, cands: np.ndarray) -> Iterator[Output]:
@@ -78,13 +82,15 @@ def run_rmeef(
             else:  # stopped early: later groups meter no further
                 rounds = min(rounds, len(records))
 
-    df, collected = per_machine(gc, start, machine, pattern.n)
-    records = [Record(*r) for r in collected]
-    if max_group_size is not None:  # every group meters its round 0
-        metrics.extras["n_region_groups"] = sum(r.i == 0 for r in records)
-    if not _meter(metrics, plan, records, bytes_budget, measure_compression):
-        return None
-    return df
+    def meter(records: list[Record]) -> None:
+        if max_group_size is not None:  # every group meters its round 0
+            metrics.extras["n_region_groups"] = sum(r.i == 0 for r in records)
+        _meter(metrics, plan, records, bytes_budget, measure_compression)
+
+    job = job or MachineJob(gc, pattern.n)
+    job.add(start, machine, meter)
+    df = job.run()
+    return None if metrics.failed else df
 
 
 def _meter(
@@ -93,10 +99,10 @@ def _meter(
     records: list[Record],
     bytes_budget: int | None,
     measure_compression: bool,
-) -> bool:
+) -> None:
     """Apply the records round by round, in Algorithm 4's order: fetchV,
-    the EC set, the budget check, verifyE. False when a region group's
-    trie overran the budget (``metrics.failed`` is set)."""
+    the EC set, the budget check, verifyE. Stops at the round where a
+    region group's trie overran the budget, setting ``metrics.failed``."""
     ex = metrics.extras
     width = 1  # matched query vertices
     for i, unit in enumerate(plan.units):
@@ -132,11 +138,10 @@ def _meter(
                 f"round {i}: a region group's embedding trie needs {peak} B, "
                 f"over the per-machine budget of {bytes_budget} B"
             )
-            return False
+            return
         pairs = sum(r.pending_pairs for r in rs)
         if pairs:
             metrics.add_comm("verifyE", pairs * VERIFY_PAIR_BYTES)
     ex["dist_embeddings"] = sum(r.survivors for r in records)
     if measure_compression:
         ex["dist_trie_nodes"] = sum(r.final_trie_nodes for r in records)
-    return True

@@ -14,6 +14,8 @@ embeddings is its own, so the kernel decides every edge on the spot.
 
 :func:`per_machine` is the operator both SM-E and R-Meef run on: each
 machine's work inside a Spark task, over the graph's broadcast adjacency.
+A :class:`MachineJob` queues their phases, so that one Spark job runs
+every phase that does not have to wait for another's result.
 """
 from __future__ import annotations
 
@@ -21,8 +23,8 @@ from typing import Callable, Iterator, Union
 
 import numpy as np
 import pandas as pd
+from pyspark.accumulators import AccumulatorParam
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.expand import Record, _c, expand_rounds
 from repro.core.metrics import RunMetrics
@@ -36,51 +38,93 @@ BATCH_ROWS = 1 << 17
 #: what a per-machine task yields: embedding blocks and meter records
 Output = Union[np.ndarray, tuple]
 
+#: one machine's share of a phase: ``task(m, A, v_m)``
+Task = Callable[[int, Adjacency, np.ndarray], Iterator[Output]]
+
+
+class _Concat(AccumulatorParam):
+    """Accumulates lists by concatenation."""
+
+    def zero(self, value: list) -> list:
+        return []
+
+    def addInPlace(self, a: list, b: list) -> list:
+        a.extend(b)
+        return a
+
 
 def per_machine(
-    gc: GraphContext,
-    vertices: np.ndarray,
-    task: Callable[[int, Adjacency, np.ndarray], Iterator[Output]],
-    n: int,
-) -> tuple[DataFrame, list[tuple]]:
-    """Run ``task(m, A, v_m)`` once per machine ``m`` owning some of
-    ``vertices`` (``v_m``: its share, ascending), inside Spark tasks over
-    the broadcast adjacency ``A``. The task yields blocks of embeddings
-    (int arrays, columns u0..u{n-1}) and meter records (int tuples); both
-    leave the task as rows of one ``mapInPandas`` output, the records in
-    an ``__rec`` column that is null on embedding rows. Returns the
-    embeddings, checkpointed, and the records, on the driver: two
-    actions of one Spark job each, and no shuffle. ``task`` ships to the
-    workers, so it must not capture the unpicklable GraphContext."""
+    gc: GraphContext, phases: list[tuple[np.ndarray, Task]], n: int
+) -> tuple[DataFrame, list[list[tuple]]]:
+    """Run the phases ``(vertices, task)`` in one Spark job over the
+    broadcast adjacency ``A``: each machine ``m`` runs ``task(m, A, v_m)``
+    of every phase in order, ``v_m`` being its share of the phase's
+    ``vertices``, ascending. A task yields blocks of embeddings (int
+    arrays, columns u0..u{n-1}) and meter records (int tuples). Returns
+    the embeddings of every phase, checkpointed, and one record list per
+    phase: the records come back through an accumulator, so the
+    checkpoint is the only action. When no machine owns a vertex of any
+    phase, no job runs. A ``task`` ships to the workers, so it must not
+    capture the unpicklable GraphContext."""
     cols = [_c(u) for u in range(n)]
-    vertices = np.sort(vertices)
-    owner = gc.owner_np[vertices]
-    share = {int(m): vertices[owner == m] for m in np.unique(owner)}
+    schema = ", ".join(f"{c} long" for c in cols)
+    tasks, shares = [], []
+    for vertices, task in phases:
+        vertices = np.sort(vertices)
+        owner = gc.owner_np[vertices]
+        tasks.append(task)
+        shares.append({int(m): vertices[owner == m] for m in np.unique(owner)})
+    if not any(shares):
+        return gc.spark.createDataFrame([], schema), [[] for _ in phases]
     bc = gc.adjacency
+    # a result stage's accumulator updates are applied once per partition
+    acc = gc.spark.sparkContext.accumulator([], _Concat())
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
             for m in pdf["id"].tolist():
-                if m not in share:
-                    continue
-                for out in task(m, bc.value, share[m]):
-                    if isinstance(out, tuple):  # a record, on a row of zeros
-                        rec = [0] * n + [[int(x) for x in out]]
-                        yield pd.DataFrame([rec], columns=cols + ["__rec"])
+                for p, (task, share) in enumerate(zip(tasks, shares)):
+                    if m not in share:
                         continue
-                    for s in range(0, len(out), BATCH_ROWS):
-                        block = pd.DataFrame(out[s : s + BATCH_ROWS], columns=cols, dtype="int64")
-                        yield block.assign(__rec=None)
+                    for out in task(m, bc.value, share[m]):
+                        if isinstance(out, tuple):
+                            acc.add([(p, tuple(int(x) for x in out))])
+                            continue
+                        for s in range(0, len(out), BATCH_ROWS):
+                            yield pd.DataFrame(out[s : s + BATCH_ROWS], columns=cols, dtype="int64")
 
-    schema = ", ".join(f"{c} long" for c in cols) + ", __rec array<long>"
     # every Python task pays a fixed start-up latency, so the machines
     # share one wave of tasks: consecutive machine ids per partition
     m = gc.n_machines
     k = min(m, gc.spark.sparkContext.defaultParallelism)
     out = gc.spark.range(0, m, 1, k).mapInPandas(run, schema).localCheckpoint()
-    rec = F.col("__rec")
-    records = [tuple(r[0]) for r in out.filter(rec.isNotNull()).select(rec).collect()]
-    return out.filter(rec.isNull()).select(*cols), records
+    records: list[list[tuple]] = [[] for _ in phases]
+    for p, rec in acc.value:
+        records[p].append(rec)
+    return out, records
+
+
+class MachineJob:
+    """Per-machine phases waiting for one Spark job. ``add`` queues a
+    phase with a callback that gets its records; ``run`` runs the queue
+    through :func:`per_machine`, hands each phase its records and
+    returns the embeddings of all of them."""
+
+    def __init__(self, gc: GraphContext, n: int):
+        self.gc, self.n = gc, n
+        self.phases: list[tuple[np.ndarray, Task, Callable[[list[Record]], None]]] = []
+
+    def add(
+        self, vertices: np.ndarray, task: Task, done: Callable[[list[Record]], None]
+    ) -> None:
+        self.phases.append((vertices, task, done))
+
+    def run(self) -> DataFrame:
+        phases, self.phases = self.phases, []
+        df, records = per_machine(self.gc, [(v, task) for v, task, _ in phases], self.n)
+        for (_, _, done), recs in zip(phases, records):
+            done([Record(*r) for r in recs])
+        return df
 
 
 def candidate_split(
@@ -99,14 +143,23 @@ def candidate_split(
 
 
 def sme_enumerate(
-    gc: GraphContext, pattern: Pattern, plan: Plan, c1: np.ndarray, metrics: RunMetrics
-) -> DataFrame:
+    gc: GraphContext,
+    pattern: Pattern,
+    plan: Plan,
+    c1: np.ndarray,
+    metrics: RunMetrics,
+    job: MachineJob | None = None,
+    flush: bool = True,
+) -> DataFrame | None:
     """Run SM-E per machine over the C1 vertices ``c1``.
 
     Each machine runs every round of ``plan`` from its C1 candidates,
     with no budget — no cross-machine data, exactly Prop. 1's promise.
-    Returns the embeddings, with one column per query vertex
-    (u0..u{n-1}); ``metrics.extras`` gets their count
+    SM-E's phase joins ``job`` (a new one when None). With ``flush``,
+    the job runs now and its embeddings are returned, with one column
+    per query vertex (u0..u{n-1}); without, the phase waits for the
+    job's next run, which returns them, and this returns None. Once the
+    phase has run, ``metrics.extras`` has their count
     (``sme_embeddings``) and the node count of their embedding trie in
     matching order (``sme_trie_nodes``).
     """
@@ -116,8 +169,10 @@ def sme_enumerate(
         yield rows
         yield records[-1]
 
-    df, records = per_machine(gc, c1, enumerate_local, pattern.n)
-    records = [Record(*r) for r in records]
-    metrics.extras["sme_embeddings"] = sum(r.survivors for r in records)
-    metrics.extras["sme_trie_nodes"] = sum(r.final_trie_nodes for r in records)
-    return df
+    def count(records: list[Record]) -> None:
+        metrics.extras["sme_embeddings"] = sum(r.survivors for r in records)
+        metrics.extras["sme_trie_nodes"] = sum(r.final_trie_nodes for r in records)
+
+    job = job or MachineJob(gc, pattern.n)
+    job.add(c1, enumerate_local, count)
+    return job.run() if flush else None

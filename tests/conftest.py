@@ -9,6 +9,8 @@ shuffle (``test_plan_shape.py`` guards that); the TwinTwig/SEED unit
 joins still do. RADS joins nothing: each machine's work is one task
 over the graph's broadcast adjacency.
 """
+import itertools
+
 import pytest
 
 from repro.baselines.crystal import build_clique_index
@@ -19,6 +21,28 @@ from repro.graphs.datasets import make_context
 def spark_tuned(spark):
     spark.conf.set("spark.sql.shuffle.partitions", 8)
     return spark
+
+
+_job_groups = itertools.count()
+
+
+@pytest.fixture
+def spark_jobs(spark_tuned):
+    """``spark_jobs(fn)``: the number of Spark jobs ``fn()`` runs."""
+    sc = spark_tuned.sparkContext
+
+    def count(fn) -> int:
+        group = f"counted-{next(_job_groups)}"
+        sc.setJobGroup(group, group)
+        try:
+            fn()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        return len(sc.statusTracker().getJobIdsForGroup(group))
+
+    return count
 
 
 @pytest.fixture(scope="session")

@@ -113,3 +113,12 @@ def test_rads_with_empty_rest_matches_oracle(gc_all_local, pname, phi):
     assert met.comm_breakdown.get("verifyE", 0) == 0
     if phi is not None:
         assert met.extras["n_region_groups"] == 0
+
+
+@pytest.mark.parametrize("phi", [None, 64])
+def test_rads_with_empty_rest_runs_one_job(gc_all_local, spark_jobs, phi):
+    """SM-E's job is the only one: with Φ it runs first, for the group
+    cap, and R-Meef then has no start vertex; without, R-Meef's phase
+    shares the job and no machine runs it."""
+    jobs = spark_jobs(lambda: run_rads(gc_all_local, PATTERNS["triangle"], group_mem_bytes=phi))
+    assert jobs == 1

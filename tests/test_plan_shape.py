@@ -3,13 +3,16 @@ join against it is a broadcast hash join. The tests run with
 ``autoBroadcastJoinThreshold = -1``, so a join that loses its broadcast
 hint falls back to a sort-merge join and fails here. RADS runs each
 machine's work as one task over the broadcast adjacency, so a call
-issues the same few Spark actions whatever its round count."""
+issues the same one or two Spark actions whatever its round count."""
+import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
 from repro.baselines.crystal import grow_cliques
 from repro.core.engine import run_rads
 from repro.core.expand import _c, expand
+from repro.core.metrics import RunMetrics
+from repro.core.rmeef import run_rmeef
 from repro.query.pattern import Pattern
 from repro.query.plan import choose_plan
 from repro.query.queries import QUERIES
@@ -64,8 +67,10 @@ def test_rads_checkpointed_plans_have_no_sort_merge_join(gc_dblp, monkeypatch):
 
 @pytest.mark.parametrize("qn,rounds", [("q1", 2), ("q5", 3), ("q6", 4)])
 def test_rads_actions_do_not_grow_with_rounds(gc_dblp, monkeypatch, qn, rounds):
-    """SM-E and R-Meef each take one checkpoint and one record collect,
-    whatever the round count: the rounds run inside the machines' tasks."""
+    """One checkpoint per Spark job, whatever the round count: the rounds
+    run inside the machines' tasks and the meter records return through
+    an accumulator. SM-E and R-Meef share one job, unless Φ's group cap
+    needs SM-E's embedding count first: then SM-E's job runs before."""
     assert choose_plan(QUERIES[qn]).rounds == rounds
     DF = type(gc_dblp.edges)
     actions = []
@@ -81,7 +86,23 @@ def test_rads_actions_do_not_grow_with_rounds(gc_dblp, monkeypatch, qn, rounds):
 
     for name in ACTIONS:
         monkeypatch.setattr(DF, name, logged(name))
-    _, met = run_rads(gc_dblp, QUERIES[qn], qn, group_mem_bytes=4000)
-    monkeypatch.undo()
-    assert not met.failed
-    assert actions == ["localCheckpoint", "collect"] * 2
+    for phi, expected in [(None, ["localCheckpoint"]), (4000, ["localCheckpoint"] * 2)]:
+        actions.clear()
+        _, met = run_rads(gc_dblp, QUERIES[qn], qn, group_mem_bytes=phi)
+        assert not met.failed
+        assert met.extras["c1_candidates"] > 0
+        assert actions == expected, phi
+
+
+def test_rmeef_over_no_start_runs_no_job(gc_dblp, spark_jobs):
+    """No machine owns a start vertex: an empty frame, and no Spark job."""
+    p = QUERIES["q1"]
+    met = RunMetrics("rads", "q1", gc_dblp.name)
+    out = []
+    jobs = spark_jobs(
+        lambda: out.append(run_rmeef(gc_dblp, p, choose_plan(p), np.zeros(0, np.int64), met))
+    )
+    assert jobs == 0
+    assert out[0].columns == [_c(u) for u in range(p.n)]
+    assert out[0].count() == 0
+    assert met.extras["dist_embeddings"] == 0

@@ -1,6 +1,8 @@
 """RADS integration tests: every query's embedding set must equal the
 DuckDB oracle's, across datasets, partitioners and engine options
 (R-Meef alone, region groups, memory budget)."""
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from repro.core.engine import run_rads
 from repro.core.metrics import RunMetrics
 from repro.core.regions import region_groups
 from repro.core.rmeef import run_rmeef
-from repro.core.sme import candidate_split
+from repro.core.sme import MachineJob, candidate_split, per_machine, sme_enumerate
 from repro.oracle import assert_equivalent
 from repro.query.plan import choose_plan, random_minround_plan, random_star_plan
 from repro.query.queries import ALL_QUERIES, QUERIES
@@ -65,6 +67,39 @@ def test_rads_without_sme_same_answer(gc_dblp, qn):
     assert not met.failed, met.fail_reason
     assert_equivalent(df, pattern_sql(p), edges=gc_dblp.edges_pdf)
     assert met.extras["dist_embeddings"] == df.count() > 0
+
+
+class _HeldJob(MachineJob):
+    """Keeps the phases queued instead of running them."""
+
+    def run(self):
+        return None
+
+
+def test_two_phase_job_equals_one_phase_jobs(gc_dblp):
+    """SM-E's and R-Meef's phases in one job find what each finds in a
+    job of its own, and meter the same records: the accumulator returns
+    them in task completion order, which metering does not depend on."""
+    p = QUERIES["q2"]
+    plan = choose_plan(p)
+    c1, rest = candidate_split(gc_dblp, p, plan.units[0].piv)
+    assert len(c1) > 0 and len(rest) > 0
+    met = RunMetrics("rads", "q2", gc_dblp.name)
+    held = _HeldJob(gc_dblp, p.n)
+    assert sme_enumerate(gc_dblp, p, plan, c1, met, held, flush=False) is None
+    assert run_rmeef(gc_dblp, p, plan, rest, met, job=held) is None
+    phases = [(v, task) for v, task, _ in held.phases]
+    assert [len(v) for v, _ in phases] == [len(c1), len(rest)]
+
+    both, records = per_machine(gc_dblp, phases, p.n)
+    sme, (sme_records,) = per_machine(gc_dblp, phases[:1], p.n)
+    dist, (dist_records,) = per_machine(gc_dblp, phases[1:], p.n)
+    rows = sorted(map(tuple, both.collect()))
+    assert rows == sorted(map(tuple, sme.collect() + dist.collect()))
+    assert len(rows) == len(set(rows)) > 0
+    assert len(records) == 2
+    assert Counter(records[0]) == Counter(sme_records) and sme_records
+    assert Counter(records[1]) == Counter(dist_records) and dist_records
 
 
 @pytest.mark.parametrize("qn", ["q1", "q4"])

@@ -80,7 +80,7 @@ def test_spark_region_groups(gc_dblp):
         for g, members in enumerate(region_groups(A.local(m), vs, 10, seed=m)):
             yield np.column_stack([np.full(len(members), m), members, np.full(len(members), g)])
 
-    out, _ = per_machine(gc_dblp, cands, group_local, 3)
+    out, _ = per_machine(gc_dblp, [(cands, group_local)], 3)
     rows = [tuple(r) for r in out.collect()]  # (machine, v, g)
     assert sorted(v for _, v, _ in rows) == cands.tolist()  # each exactly once
     sizes = Counter((m, g) for m, _, g in rows)

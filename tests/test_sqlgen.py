@@ -1,8 +1,6 @@
 """Oracle SQL generator tests: generated conjunctive queries must count
 exactly what brute force counts, with and without symmetry breaking."""
 import duckdb
-import itertools
-
 import pandas as pd
 import pytest
 
