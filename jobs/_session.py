@@ -12,11 +12,20 @@ and the session passes that on to Spark's Python workers (RADS's
 per-machine ``mapInPandas`` tasks unpickle ``repro`` functions and the
 broadcast adjacency there), so the jobs run from a clean shell without
 installing the package.
+
+Each job writes the rows it prints to ``<out_dir>/<name>.json``
+(``save_rows``); ``out_dir`` is the checkout's ``results/`` unless the
+job's last argument names another directory. ``make_experiments.py``
+renders EXPERIMENTS.md from ``results/``.
 """
+import json
 import os
 import sys
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+#: where the jobs write their rows and make_experiments.py reads them
+RESULTS = os.path.join(ROOT, "results")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
 os.environ["PYTHONPATH"] = os.pathsep.join(
@@ -39,3 +48,10 @@ def get_session(app: str) -> SparkSession:
         .config("spark.executorEnv.PYTHONPATH", os.environ["PYTHONPATH"])
         .getOrCreate()
     )
+
+
+def save_rows(name: str, rows: list[dict], out_dir: str = RESULTS) -> None:
+    """Write one table's rows to ``<out_dir>/<name>.json``."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, f"{name}.json"), "w") as f:
+        json.dump(rows, f, indent=1)

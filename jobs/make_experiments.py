@@ -1,20 +1,18 @@
-"""Assemble EXPERIMENTS.md from the bench outputs in results/*.json.
+"""Assemble EXPERIMENTS.md from the job outputs in results/*.json.
 
     python jobs/make_experiments.py
 
-Run after ``pytest benchmarks/ --benchmark-only``; each bench file dumps
-its rows into results/, and this script renders them next to the
-paper's published numbers (repro/papernumbers.py) with the shape
-commentary DESIGN.md promises.
+Run after the jobs (README § Running); each job writes its rows into
+results/, and this script renders them next to the paper's published
+numbers (repro/papernumbers.py) with the shape commentary DESIGN.md
+promises.
 """
 import json
 import os
 
-import _session  # noqa: F401  (first: puts src/ on the path)
-from repro.papernumbers import FIGURE_SHAPES, TABLE1, TABLE2
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RESULTS = os.path.join(ROOT, "results")
+from _session import RESULTS, ROOT  # first: puts src/ on the path
+from repro.papernumbers import FIGURE_SHAPES, TABLE1
+from repro.tables import PAPER_NAME
 
 
 def _load(name):
@@ -89,8 +87,6 @@ PERF_VERDICTS = {
 
 def _perf_section(name, title, shape):
     rows = _load(f"perf_{name}")
-    for r in rows:
-        r.pop("comm_breakdown", None)
     body = _md_table(
         rows,
         ["query", "engine", "embeddings", "time_s", "comm_MB", "peak_MB", "failed"],
@@ -99,12 +95,13 @@ def _perf_section(name, title, shape):
     return f"### {title}\n\nPaper's shape: {shape}\n\n{body}\n{verdict}\n"
 
 
-def main() -> str:
+def render() -> str:
+    """EXPERIMENTS.md's text from the rows in results/."""
     parts = ["""# EXPERIMENTS — paper vs measured
 
-All numbers below are regenerated by `pytest benchmarks/ --benchmark-only`
-(each bench dumps rows into `results/*.json`; this file is rendered by
-`python jobs/make_experiments.py`). Absolute values cannot match the
+All numbers below are regenerated by the `jobs/` entrypoints (README
+§ Running; each job writes its rows into `results/*.json`; this file is
+rendered by `python jobs/make_experiments.py`). Absolute values cannot match the
 paper — the paper ran C++/MPI on a 10-node cluster over billion-edge
 graphs, we run a metered PySpark simulation over synthetic lite graphs
 (DESIGN.md §2–3) — so each section states the paper's numbers, ours,
@@ -124,8 +121,9 @@ while the groups ran one after another, 44 in one grouped pass, 33
 once every join against the edge table was a broadcast join and 21
 once RADS's replicated bookkeeping moved to the driver). Each
 machine's RADS work now runs inside a Spark task over the broadcast
-graph, so one RADS call issues 4 jobs, against 17–20 for a whole
-baseline run, and on the `radsbench` workloads a RADS query takes
+graph, so one RADS call issues 1–2 jobs (SM-E's and R-Meef's phases
+share one unless Φ's group cap needs SM-E's count first), against
+17–20 for a whole baseline run, and on the `radsbench` workloads a RADS query takes
 1.0–1.1× the time of the fastest baseline's (3.3–4.8× before). The
 baselines' real cost — moving and materializing huge intermediates
 across machines — still costs them nothing here. The paper's
@@ -141,10 +139,7 @@ still meaningful across queries/datasets.
     # ---- Table 1 ----
     rows = _load("table1_profiles")
     for r in rows:
-        ds = r["dataset"].split("_")[0]
-        pname = {"roadnet": "RoadNet", "dblp": "DBLP",
-                 "livejournal": "LiveJournal", "uk2002": "UK2002"}[ds]
-        p = TABLE1[pname]
+        p = TABLE1[PAPER_NAME[r["dataset"].split("_")[0]]]
         r["paper(|V|,|E|,deg,diam)"] = (
             f"{p['|V|']}, {p['|E|']}, {p['avg_degree']}, {p['diameter']}"
         )
@@ -250,11 +245,14 @@ still meaningful across queries/datasets.
         "| Figs. 8–11 wall-clock ordering | not reproducible in a single-host simulation (scheduler-bound; see header) |\n"
     )
 
-    text = "\n".join(parts)
+    return "\n".join(parts)
+
+
+def main() -> None:
+    text = render()
     with open(os.path.join(ROOT, "EXPERIMENTS.md"), "w") as f:
         f.write(text)
     print(f"wrote EXPERIMENTS.md ({len(text)} bytes)")
-    return text
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from repro.tables import (
     plan_effectiveness_rows,
     print_rows,
     table1_rows,
+    table2_rows,
 )
 
 
@@ -26,15 +27,11 @@ def test_table1_rows_tiny():
     assert byname["RoadNet"]["diameter"] > 3 * byname["UK2002"]["diameter"]
 
 
-def test_table2_harness(gc_dblp, cindex_dblp):
-    # exercise the row shape without rebuilding indexes for all datasets
-    row = {
-        "dataset": gc_dblp.name,
-        "graph_MB": cindex_dblp.graph_bytes / 1e6,
-        "index_MB": cindex_dblp.index_bytes / 1e6,
-        "ratio": cindex_dblp.ratio(),
-    }
-    assert row["graph_MB"] > 0 and row["index_MB"] > 0 and row["ratio"] > 0
+def test_table2_harness(spark_tuned, tmp_path):
+    rows = table2_rows(spark_tuned, tmp_path, scale="tiny")
+    assert len(rows) == 4
+    for r in rows:
+        assert r["graph_MB"] > 0 and r["index_MB"] > 0 and r["ratio"] > 0
 
 
 def test_compression_rows(gc_dblp):
