@@ -8,7 +8,11 @@ that asymmetry is the paper's headline result.
 """
 from __future__ import annotations
 
+from pyspark.sql import DataFrame
+
+from repro.core.expand import expand
 from repro.core.metrics import VERTEX_BYTES, RunMetrics
+from repro.graphs.datasets import GraphContext
 from repro.query.pattern import Pattern
 
 
@@ -57,3 +61,33 @@ def check_budget(
         )
         return True
     return False
+
+
+def attach_vertices(
+    gc: GraphContext,
+    pattern: Pattern,
+    R: DataFrame,
+    rows: int,
+    matched: list[int],
+    order: list[int],
+    metrics: RunMetrics,
+    bytes_budget: int | None,
+) -> tuple[DataFrame | None, int]:
+    """Match the query vertices ``order`` onto ``R`` (``rows`` embeddings
+    of ``matched``) one at a time, each a synchronous round: every
+    partial embedding is re-shuffled to the machine of the anchor, the
+    first matched neighbour, and every other pattern edge to a matched
+    vertex is checked on the spot. Returns the embeddings and their row
+    count; the embeddings are None once an intermediate overruns the
+    budget."""
+    matched = list(matched)
+    for u in order:
+        metrics.add_comm("shuffle", shuffle_bytes(rows, len(matched), gc.n_machines))
+        anchor = next(w for w in matched if w in pattern.adj[u])
+        eager = [w for w in pattern.adj[u] if w in matched and w != anchor]
+        R = expand(gc, R, pattern, matched, u, anchor, eager).localCheckpoint()
+        matched.append(u)
+        rows = R.count()
+        if check_budget(metrics, rows, len(matched), bytes_budget, f"expand {u}", gc.n_machines):
+            return None, rows
+    return R, rows

@@ -22,8 +22,8 @@ import itertools
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.baselines.common import check_budget, shuffle_bytes
-from repro.core.expand import _c, degree_filter, expand
+from repro.baselines.common import attach_vertices, check_budget
+from repro.core.expand import _c, degree_filter
 from repro.core.metrics import RunMetrics
 from repro.graphs.datasets import GraphContext
 from repro.query.pattern import Pattern
@@ -169,16 +169,10 @@ def run_crystal(
         order.append(u)
         frontier.add(u)
         remaining.remove(u)
-    for u in order:
-        anchor = next(w for w in matched if w in pattern.adj[u])
-        metrics.add_comm("shuffle", shuffle_bytes(rows, len(matched), gc.n_machines))
-        eager = [w for w in pattern.adj[u] if w in matched and w != anchor]
-        R = expand(gc, R, pattern, matched, u, anchor, eager).localCheckpoint()
-        matched.append(u)
-        rows = R.count()
-        if check_budget(metrics, rows, len(matched), bytes_budget, f"attach {u}", gc.n_machines):
-            metrics.elapsed_s = time.perf_counter() - t0
-            return None, metrics
+    R, rows = attach_vertices(gc, pattern, R, rows, matched, order, metrics, bytes_budget)
+    if R is None:
+        metrics.elapsed_s = time.perf_counter() - t0
+        return None, metrics
 
     out = R.select(*[_c(u) for u in range(pattern.n)])
     metrics.n_embeddings = rows

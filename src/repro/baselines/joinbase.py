@@ -29,7 +29,30 @@ class JoinUnit:
 
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    kind: str  # "star" | "clique"
+
+
+def star_cover(
+    pattern: Pattern, uncovered: set[tuple[int, int]], max_leaves: int | None = None
+) -> list[JoinUnit]:
+    """Greedy cover of the ``uncovered`` edges (sorted pairs) by stars:
+    each centre is the vertex with the most uncovered edges (ties: higher
+    pattern degree, then lower id), and its uncovered edges become stars
+    of at most ``max_leaves`` leaves each (None: one star), in leaf order."""
+    uncovered = set(uncovered)
+    units: list[JoinUnit] = []
+    while uncovered:
+        cnt = {u: 0 for u in range(pattern.n)}
+        for a, b in uncovered:
+            cnt[a] += 1
+            cnt[b] += 1
+        piv = max(range(pattern.n), key=lambda u: (cnt[u], pattern.degree(u), -u))
+        leaves = sorted((b if a == piv else a) for a, b in uncovered if piv in (a, b))
+        step = max_leaves or len(leaves)
+        for k in range(0, len(leaves), step):
+            chunk = leaves[k : k + step]
+            units.append(JoinUnit((piv, *chunk), tuple((piv, lf) for lf in chunk)))
+        uncovered -= {tuple(sorted((piv, lf))) for lf in leaves}
+    return units
 
 
 def build_unit_df(gc: GraphContext, pattern: Pattern, unit: JoinUnit) -> DataFrame:

@@ -14,8 +14,8 @@ import time
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.baselines.common import bfs_vertex_order, check_budget, shuffle_bytes
-from repro.core.expand import _c, expand
+from repro.baselines.common import attach_vertices, bfs_vertex_order
+from repro.core.expand import _c
 from repro.core.metrics import RunMetrics
 from repro.graphs.datasets import GraphContext
 from repro.query.pattern import Pattern
@@ -39,20 +39,12 @@ def run_psgl(
         .localCheckpoint()
     )
     rows = R.count()
-    matched = [u0]
     metrics.rounds = pattern.n - 1
-    for u in order[1:]:
-        # superstep barrier: every partial embedding is re-shuffled
-        metrics.add_comm("shuffle", shuffle_bytes(rows, len(matched), gc.n_machines))
-        anchor = next(w for w in order if w in matched and w in pattern.adj[u])
-        # every pattern edge to a matched vertex is checked on the spot
-        eager = [w for w in pattern.adj[u] if w in matched and w != anchor]
-        R = expand(gc, R, pattern, matched, u, anchor, eager).localCheckpoint()
-        matched.append(u)
-        rows = R.count()
-        if check_budget(metrics, rows, len(matched), bytes_budget, f"expand {u}", gc.n_machines):
-            metrics.elapsed_s = time.perf_counter() - t0
-            return None, metrics
+    # superstep barriers: every partial embedding is re-shuffled
+    R, rows = attach_vertices(gc, pattern, R, rows, [u0], order[1:], metrics, bytes_budget)
+    if R is None:
+        metrics.elapsed_s = time.perf_counter() - t0
+        return None, metrics
     out = R.select(*[_c(u) for u in range(pattern.n)])
     metrics.n_embeddings = rows
     metrics.elapsed_s = time.perf_counter() - t0

@@ -12,7 +12,7 @@ import itertools
 
 from pyspark.sql import DataFrame
 
-from repro.baselines.joinbase import JoinUnit, run_join_engine
+from repro.baselines.joinbase import JoinUnit, run_join_engine, star_cover
 from repro.core.metrics import RunMetrics
 from repro.graphs.datasets import GraphContext
 from repro.query.pattern import Pattern
@@ -37,24 +37,10 @@ def seed_decomposition(pattern: Pattern) -> list[JoinUnit]:
         if best is None:
             break
         edges = tuple(itertools.combinations(best, 2))
-        units.append(JoinUnit(tuple(best), edges, "clique"))
+        units.append(JoinUnit(tuple(best), edges))
         for a, b in edges:
             uncovered.discard(tuple(sorted((a, b))))
-    while uncovered:
-        cnt = {u: 0 for u in range(pattern.n)}
-        for a, b in uncovered:
-            cnt[a] += 1
-            cnt[b] += 1
-        piv = max(range(pattern.n), key=lambda u: (cnt[u], pattern.degree(u), -u))
-        leaves = tuple(
-            sorted((b if a == piv else a) for a, b in uncovered if piv in (a, b))
-        )
-        units.append(
-            JoinUnit((piv, *leaves), tuple((piv, lf) for lf in leaves), "star")
-        )
-        for lf in leaves:
-            uncovered.discard(tuple(sorted((piv, lf))))
-    return units
+    return units + star_cover(pattern, uncovered)
 
 
 def run_seed(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame
 
-from repro.baselines.joinbase import JoinUnit, run_join_engine
+from repro.baselines.joinbase import JoinUnit, run_join_engine, star_cover
 from repro.core.metrics import RunMetrics
 from repro.graphs.datasets import GraphContext
 from repro.query.pattern import Pattern
@@ -18,24 +18,7 @@ from repro.query.pattern import Pattern
 
 def twintwig_decomposition(pattern: Pattern) -> list[JoinUnit]:
     """Greedy edge cover by ≤2-edge stars around high-degree vertices."""
-    uncovered = {tuple(sorted(e)) for e in pattern.edges}
-    units: list[JoinUnit] = []
-    while uncovered:
-        cnt = {u: 0 for u in range(pattern.n)}
-        for a, b in uncovered:
-            cnt[a] += 1
-            cnt[b] += 1
-        piv = max(range(pattern.n), key=lambda u: (cnt[u], pattern.degree(u), -u))
-        leaves = sorted(
-            (b if a == piv else a) for a, b in uncovered if piv in (a, b)
-        )
-        for k in range(0, len(leaves), 2):
-            chunk = leaves[k : k + 2]
-            star_edges = tuple((piv, lf) for lf in chunk)
-            units.append(JoinUnit((piv, *chunk), star_edges, "star"))
-            for lf in chunk:
-                uncovered.discard(tuple(sorted((piv, lf))))
-    return units
+    return star_cover(pattern, {tuple(sorted(e)) for e in pattern.edges}, max_leaves=2)
 
 
 def run_twintwig(

@@ -9,11 +9,13 @@ metrics object carries the simulated communication and memory costs.
 Each machine's work runs inside a Spark task over the graph's
 broadcast adjacency: SM-E over the C1 candidates, then Algorithm 3 and
 every R-Meef round over the rest, both with one numpy kernel,
-``core.expand.expand_rounds``. Only Φ's group cap reads SM-E's output,
-so a warm call runs one Spark job, whatever the round count, and two
-when Φ is set and C1 is not empty: SM-E's job first, then R-Meef's.
-Each job is one driver action, a checkpoint; the tasks' meter records
-return through an accumulator. The candidate split, Φ's group cap, the
+``core.expand.expand_rounds``. ``sme_phase`` and ``rmeef_phase`` build
+the two phases and ``run_rads`` hands them to ``sme.per_machine``. Only
+Φ's group cap reads SM-E's output, so a warm call runs one Spark job
+with both phases, whatever the round count, and two when Φ is set:
+SM-E's job first (none when C1 is empty), then R-Meef's. Each job is
+one driver action, a checkpoint; the tasks' meter records return
+through an accumulator. The candidate split, Φ's group cap, the
 metering and the embedding count are bookkeeping on the driver: the
 split reads the graph's replicated degree and border-distance arrays,
 and the rest comes from the meter records.
@@ -26,8 +28,8 @@ from pyspark.sql import DataFrame
 
 from repro.core.emtrie import list_bytes
 from repro.core.metrics import TRIE_NODE_BYTES, VERTEX_BYTES, RunMetrics
-from repro.core.rmeef import run_rmeef
-from repro.core.sme import MachineJob, candidate_split, sme_enumerate
+from repro.core.rmeef import rmeef_phase
+from repro.core.sme import candidate_split, per_machine, sme_phase
 from repro.graphs.datasets import GraphContext
 from repro.query.pattern import Pattern
 from repro.query.plan import Plan, choose_plan
@@ -58,34 +60,26 @@ def run_rads(
     c1, rest = candidate_split(gc, pattern, u_start)
     metrics.extras["c1_candidates"] = len(c1)
 
-    # --- SM-E per machine (Prop. 1 candidates), in R-Meef's job unless
-    # Φ's group cap needs SM-E's embedding count first (an empty C1
-    # runs no job) ---
-    job = MachineJob(gc, pattern.n)
-    sme_df = sme_enumerate(gc, pattern, plan, c1, metrics, job, flush=group_mem_bytes is not None)
-
-    # --- region groups: Φ / (estimated rows per candidate, from SM-E) ---
-    max_group = None
-    if group_mem_bytes is not None:
-        n_sme = metrics.extras["sme_embeddings"]
-        est_rows = max(1.0, n_sme / max(1, len(c1)))
+    # --- SM-E per machine (Prop. 1 candidates), then R-Meef's region
+    # groups and distributed rounds; an empty C1 adds no work ---
+    sme = sme_phase(pattern, plan, c1, metrics)
+    kw = dict(bytes_budget=bytes_budget, measure_compression=measure_compression)
+    if group_mem_bytes is None:  # one region group per machine
+        out = per_machine(gc, [sme, rmeef_phase(pattern, plan, rest, metrics, **kw)], pattern.n)
+    else:
+        # Φ's group cap needs SM-E's embedding count, so SM-E's job runs
+        # first: Φ / (estimated rows per candidate × pattern size)
+        sme_df = per_machine(gc, [sme], pattern.n)
+        est_rows = max(1.0, metrics.extras["sme_embeddings"] / max(1, len(c1)))
         per_cand_bytes = est_rows * pattern.n * VERTEX_BYTES
         max_group = max(1, int(group_mem_bytes // per_cand_bytes))
         metrics.extras["max_group_size"] = max_group
-
-    # --- distributed phase ---
-    dist_df = run_rmeef(
-        gc, pattern, plan, rest, metrics,
-        max_group_size=max_group,
-        bytes_budget=bytes_budget,
-        measure_compression=measure_compression,
-        job=job,
-    )
-    if dist_df is None:
+        dist = rmeef_phase(pattern, plan, rest, metrics, max_group_size=max_group, **kw)
+        out = sme_df.unionByName(per_machine(gc, [dist], pattern.n))
+    if metrics.failed:
         metrics.elapsed_s = time.perf_counter() - t0
         return None, metrics
 
-    out = dist_df if sme_df is None else sme_df.unionByName(dist_df)
     metrics.n_embeddings = metrics.extras["sme_embeddings"] + metrics.extras["dist_embeddings"]
     if measure_compression:
         # include the final result set (SM-E + distributed) in the

@@ -15,7 +15,7 @@ for it.
 
 Each machine groups its own candidates over its local adjacency, before
 any communication happens: R-Meef's per-machine task calls
-:func:`region_groups` with the seed ``m``.
+:func:`greedy_region_groups` with the seed ``m``.
 """
 from __future__ import annotations
 
@@ -30,17 +30,16 @@ def greedy_region_groups(
     candidates: Iterable[int],
     max_group_size: int,
     seed: int = 0,
-) -> dict[int, int]:
-    """Algorithm 3 run to exhaustion: returns candidate → group id.
+) -> list[np.ndarray]:
+    """Algorithm 3 run to exhaustion: returns the groups as sorted vertex
+    arrays, in group-id order.
 
     Incremental proximity: ``num[w]`` counts w's neighbors inside the
     group's neighborhood N(rg); adding a member only touches the
     2-hop fringe, so the whole grouping is O(Σ deg)."""
-    remaining = sorted(set(candidates))
     rng = random.Random(seed)
-    group_of: dict[int, int] = {}
-    g = 0
-    remaining_set = set(remaining)
+    groups: list[np.ndarray] = []
+    remaining_set = {int(v) for v in candidates}
     while remaining_set:
         start = rng.choice(sorted(remaining_set))
         members = [start]
@@ -74,22 +73,5 @@ def greedy_region_groups(
             members.append(best)
             remaining_set.discard(best)
             absorb(best)
-        for v in members:
-            group_of[v] = g
-        g += 1
-    return group_of
-
-
-def region_groups(
-    adj: dict[int, set[int]],
-    candidates: np.ndarray,
-    max_group_size: int,
-    seed: int = 0,
-) -> list[np.ndarray]:
-    """Algorithm 3's groups of ``candidates`` as sorted vertex arrays,
-    indexed by group id."""
-    group_of = greedy_region_groups(adj, candidates.tolist(), max_group_size, seed)
-    groups: list[list[int]] = [[] for _ in range(len(set(group_of.values())))]
-    for v in sorted(group_of):
-        groups[group_of[v]].append(v)
-    return [np.array(g, dtype=np.int64) for g in groups]
+        groups.append(np.array(sorted(members), dtype=np.int64))
+    return groups

@@ -1,14 +1,14 @@
 """R-Meef: region-grouped multi-round expand / verify & filter (Sec. 3.2).
 
-Each machine runs its share of the distributed phase inside a Spark
-task over the graph's broadcast adjacency (``sme.per_machine``), in the
-same task as its SM-E share unless SM-E had to run first, as in
-Algorithm 4: it region-groups its start candidates (Algorithm 3 over
-its local adjacency, seed ``m``) and runs every round of one group after
-another with :func:`repro.core.expand.expand_rounds`, in numpy. Every
-row descends from one start vertex, so it keeps its home machine ``m``
-and group ``g`` for its whole life: intermediate results never move
-between machines, which is the paper's core claim.
+:func:`rmeef_phase` builds the distributed phase for ``sme.per_machine``:
+each machine runs its share inside a Spark task over the graph's
+broadcast adjacency, in the same task as its SM-E share unless SM-E had
+to run first, as in Algorithm 4. It region-groups its start candidates
+(Algorithm 3 over its local adjacency, seed ``m``) and runs every round
+of one group after another with :func:`repro.core.expand.expand_rounds`,
+in numpy. Every row descends from one start vertex, so it keeps its home
+machine ``m`` and group ``g`` for its whole life: intermediate results
+never move between machines, which is the paper's core claim.
 
 The fetch cache is per (m, g), persists across the group's rounds as in
 the paper, and lives in the machine's task. A group whose EC set's
@@ -16,10 +16,10 @@ embedding trie overruns the budget stops there, and so do the later
 groups of its task.
 
 Communication metering (DESIGN.md §2): the task returns one record per
-(m, g, round), through an accumulator, and the driver applies them
-round by round. fetchV = adjacency bytes of newly fetched foreign
-pivots; verifyE = 17 bytes per distinct pending pair. The start vertex
-fixes m and g, so every count adds up over tasks.
+(m, g, round), through an accumulator, and the phase's callback applies
+them on the driver, round by round. fetchV = adjacency bytes of newly
+fetched foreign pivots; verifyE = 17 bytes per distinct pending pair.
+The start vertex fixes m and g, so every count adds up over tasks.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from collections import Counter
 from typing import Iterator
 
 import numpy as np
-from pyspark.sql import DataFrame
 
 from repro.core.emtrie import list_bytes
 from repro.core.expand import Record, expand_rounds
@@ -37,15 +36,14 @@ from repro.core.metrics import (
     VERTEX_BYTES,
     RunMetrics,
 )
-from repro.core.regions import region_groups
-from repro.core.sme import MachineJob, Output
-from repro.graphs.datasets import Adjacency, GraphContext
+from repro.core.regions import greedy_region_groups
+from repro.core.sme import Output, Phase
+from repro.graphs.datasets import Adjacency
 from repro.query.pattern import Pattern
 from repro.query.plan import Plan
 
 
-def run_rmeef(
-    gc: GraphContext,
+def rmeef_phase(
     pattern: Pattern,
     plan: Plan,
     start: np.ndarray,
@@ -54,23 +52,21 @@ def run_rmeef(
     max_group_size: int | None = None,
     bytes_budget: int | None = None,
     measure_compression: bool = False,
-    job: MachineJob | None = None,
-) -> DataFrame | None:
-    """Run the distributed phase from the dp0.piv candidates ``start``;
-    returns the embedding DataFrame (columns u0..u{n-1}) or None when
-    the budget was exceeded (``metrics.failed`` is set).
-    ``max_group_size`` caps Algorithm 3's region groups (None: one group
-    per machine). ``metrics.extras["dist_embeddings"]`` gets the number
-    of embeddings found. The phase joins ``job`` (a new one when None)
-    and runs it: the embeddings returned are those of every phase the
-    job held."""
+) -> Phase:
+    """R-Meef's :func:`repro.core.sme.per_machine` phase from the dp0.piv
+    candidates ``start``; its embeddings have one column per query
+    vertex (u0..u{n-1}). ``max_group_size`` caps Algorithm 3's region
+    groups (None: one group per machine). Once the phase has run,
+    ``metrics.extras["dist_embeddings"]`` has the number of embeddings
+    found, and ``metrics.failed`` is set when a group overran
+    ``bytes_budget``: the embeddings are then incomplete."""
     metrics.rounds = plan.rounds
 
     def machine(m: int, A: Adjacency, cands: np.ndarray) -> Iterator[Output]:
         if max_group_size is None:
             groups = [cands]
         else:
-            groups = region_groups(A.local(m), cands, max_group_size, seed=m)
+            groups = greedy_region_groups(A.local(m), cands, max_group_size, seed=m)
         rounds = plan.rounds
         for g, members in enumerate(groups):
             records, rows = expand_rounds(
@@ -87,10 +83,7 @@ def run_rmeef(
             metrics.extras["n_region_groups"] = sum(r.i == 0 for r in records)
         _meter(metrics, plan, records, bytes_budget, measure_compression)
 
-    job = job or MachineJob(gc, pattern.n)
-    job.add(start, machine, meter)
-    df = job.run()
-    return None if metrics.failed else df
+    return start, machine, meter
 
 
 def _meter(

@@ -14,8 +14,8 @@ embeddings is its own, so the kernel decides every edge on the spot.
 
 :func:`per_machine` is the operator both SM-E and R-Meef run on: each
 machine's work inside a Spark task, over the graph's broadcast adjacency.
-A :class:`MachineJob` queues their phases, so that one Spark job runs
-every phase that does not have to wait for another's result.
+:func:`sme_phase` builds SM-E's phase for it; the engine decides which
+phases share a Spark job.
 """
 from __future__ import annotations
 
@@ -41,6 +41,9 @@ Output = Union[np.ndarray, tuple]
 #: one machine's share of a phase: ``task(m, A, v_m)``
 Task = Callable[[int, Adjacency, np.ndarray], Iterator[Output]]
 
+#: a per-machine phase: its vertices, its task, and what gets its records
+Phase = tuple[np.ndarray, Task, Callable[[list[Record]], None]]
+
 
 class _Concat(AccumulatorParam):
     """Accumulates lists by concatenation."""
@@ -53,29 +56,30 @@ class _Concat(AccumulatorParam):
         return a
 
 
-def per_machine(
-    gc: GraphContext, phases: list[tuple[np.ndarray, Task]], n: int
-) -> tuple[DataFrame, list[list[tuple]]]:
-    """Run the phases ``(vertices, task)`` in one Spark job over the
+def per_machine(gc: GraphContext, phases: list[Phase], n: int) -> DataFrame:
+    """Run the phases ``(vertices, task, done)`` in one Spark job over the
     broadcast adjacency ``A``: each machine ``m`` runs ``task(m, A, v_m)``
     of every phase in order, ``v_m`` being its share of the phase's
     ``vertices``, ascending. A task yields blocks of embeddings (int
-    arrays, columns u0..u{n-1}) and meter records (int tuples). Returns
-    the embeddings of every phase, checkpointed, and one record list per
-    phase: the records come back through an accumulator, so the
-    checkpoint is the only action. When no machine owns a vertex of any
-    phase, no job runs. A ``task`` ships to the workers, so it must not
-    capture the unpicklable GraphContext."""
+    arrays, columns u0..u{n-1}) and meter records (:class:`Record`
+    tuples). Each phase's ``done`` gets its records; the embeddings of
+    every phase are returned, checkpointed. The records come back
+    through an accumulator, so the checkpoint is the only action. When
+    no machine owns a vertex of any phase, no job runs. A ``task`` ships
+    to the workers, so it must not capture the unpicklable
+    GraphContext."""
     cols = [_c(u) for u in range(n)]
     schema = ", ".join(f"{c} long" for c in cols)
     tasks, shares = [], []
-    for vertices, task in phases:
+    for vertices, task, _ in phases:
         vertices = np.sort(vertices)
         owner = gc.owner_np[vertices]
         tasks.append(task)
         shares.append({int(m): vertices[owner == m] for m in np.unique(owner)})
     if not any(shares):
-        return gc.spark.createDataFrame([], schema), [[] for _ in phases]
+        for _, _, done in phases:
+            done([])
+        return gc.spark.createDataFrame([], schema)
     bc = gc.adjacency
     # a result stage's accumulator updates are applied once per partition
     acc = gc.spark.sparkContext.accumulator([], _Concat())
@@ -98,33 +102,12 @@ def per_machine(
     m = gc.n_machines
     k = min(m, gc.spark.sparkContext.defaultParallelism)
     out = gc.spark.range(0, m, 1, k).mapInPandas(run, schema).localCheckpoint()
-    records: list[list[tuple]] = [[] for _ in phases]
+    records: list[list[Record]] = [[] for _ in phases]
     for p, rec in acc.value:
-        records[p].append(rec)
-    return out, records
-
-
-class MachineJob:
-    """Per-machine phases waiting for one Spark job. ``add`` queues a
-    phase with a callback that gets its records; ``run`` runs the queue
-    through :func:`per_machine`, hands each phase its records and
-    returns the embeddings of all of them."""
-
-    def __init__(self, gc: GraphContext, n: int):
-        self.gc, self.n = gc, n
-        self.phases: list[tuple[np.ndarray, Task, Callable[[list[Record]], None]]] = []
-
-    def add(
-        self, vertices: np.ndarray, task: Task, done: Callable[[list[Record]], None]
-    ) -> None:
-        self.phases.append((vertices, task, done))
-
-    def run(self) -> DataFrame:
-        phases, self.phases = self.phases, []
-        df, records = per_machine(self.gc, [(v, task) for v, task, _ in phases], self.n)
-        for (_, _, done), recs in zip(phases, records):
-            done([Record(*r) for r in recs])
-        return df
+        records[p].append(Record(*rec))
+    for (_, _, done), recs in zip(phases, records):
+        done(recs)
+    return out
 
 
 def candidate_split(
@@ -142,24 +125,15 @@ def candidate_split(
     return v[far], v[~far]
 
 
-def sme_enumerate(
-    gc: GraphContext,
-    pattern: Pattern,
-    plan: Plan,
-    c1: np.ndarray,
-    metrics: RunMetrics,
-    job: MachineJob | None = None,
-    flush: bool = True,
-) -> DataFrame | None:
-    """Run SM-E per machine over the C1 vertices ``c1``.
+def sme_phase(
+    pattern: Pattern, plan: Plan, c1: np.ndarray, metrics: RunMetrics
+) -> Phase:
+    """SM-E's :func:`per_machine` phase over the C1 vertices ``c1``.
 
     Each machine runs every round of ``plan`` from its C1 candidates,
     with no budget — no cross-machine data, exactly Prop. 1's promise.
-    SM-E's phase joins ``job`` (a new one when None). With ``flush``,
-    the job runs now and its embeddings are returned, with one column
-    per query vertex (u0..u{n-1}); without, the phase waits for the
-    job's next run, which returns them, and this returns None. Once the
-    phase has run, ``metrics.extras`` has their count
+    Its embeddings have one column per query vertex (u0..u{n-1}). Once
+    the phase has run, ``metrics.extras`` has their count
     (``sme_embeddings``) and the node count of their embedding trie in
     matching order (``sme_trie_nodes``).
     """
@@ -173,6 +147,4 @@ def sme_enumerate(
         metrics.extras["sme_embeddings"] = sum(r.survivors for r in records)
         metrics.extras["sme_trie_nodes"] = sum(r.final_trie_nodes for r in records)
 
-    job = job or MachineJob(gc, pattern.n)
-    job.add(c1, enumerate_local, count)
-    return job.run() if flush else None
+    return c1, enumerate_local, count

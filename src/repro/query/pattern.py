@@ -185,10 +185,6 @@ class Pattern:
 
     # ---------------- subpatterns ----------------
 
-    def induced_edges(self, vs: set[int]) -> list[tuple[int, int]]:
-        """Edges of the subgraph induced by vertex set ``vs``."""
-        return [(a, b) for a, b in self.edges if a in vs and b in vs]
-
     def cliques(self, k: int) -> list[tuple[int, ...]]:
         """All k-cliques of the pattern (sorted tuples)."""
         out = []

@@ -122,3 +122,34 @@ def test_rads_with_empty_rest_runs_one_job(gc_all_local, spark_jobs, phi):
     shares the job and no machine runs it."""
     jobs = spark_jobs(lambda: run_rads(gc_all_local, PATTERNS["triangle"], group_mem_bytes=phi))
     assert jobs == 1
+
+
+# 4-cycle 0-1-2-3 with chord 0-2, owners alternating around the cycle:
+# every vertex has a neighbour on the other machine, so every border
+# distance is 0 and no start candidate goes to SM-E
+BORDER_EDGES = np.array([(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)], dtype=np.int64)
+BORDER_OWNER = np.array([0, 1, 0, 1])
+
+
+@pytest.fixture(scope="module")
+def gc_all_border(spark_tuned):
+    gc = build_context(
+        spark_tuned, BORDER_EDGES, len(BORDER_OWNER), partitioner=BORDER_OWNER,
+        name="all_border",
+    )
+    yield gc
+    gc.unpersist()
+
+
+def test_rads_with_phi_and_empty_c1_runs_one_job(gc_all_border, spark_jobs):
+    """Φ set and C1 empty: SM-E's job has no vertex to run on, so R-Meef's
+    is the only one, and the answer is whole."""
+    p = PATTERNS["triangle"]
+    out = []
+    jobs = spark_jobs(lambda: out.append(run_rads(gc_all_border, p, group_mem_bytes=64)))
+    df, met = out[0]
+    assert not met.failed, met.fail_reason
+    assert met.extras["c1_candidates"] == 0
+    assert_equivalent(df, pattern_sql(p), edges=gc_all_border.edges_pdf)
+    assert met.n_embeddings == 2
+    assert jobs == 1

@@ -12,7 +12,8 @@ from repro.baselines.crystal import grow_cliques
 from repro.core.engine import run_rads
 from repro.core.expand import _c, expand
 from repro.core.metrics import RunMetrics
-from repro.core.rmeef import run_rmeef
+from repro.core.rmeef import rmeef_phase
+from repro.core.sme import per_machine
 from repro.query.pattern import Pattern
 from repro.query.plan import choose_plan
 from repro.query.queries import QUERIES
@@ -98,10 +99,9 @@ def test_rmeef_over_no_start_runs_no_job(gc_dblp, spark_jobs):
     """No machine owns a start vertex: an empty frame, and no Spark job."""
     p = QUERIES["q1"]
     met = RunMetrics("rads", "q1", gc_dblp.name)
+    phase = rmeef_phase(p, choose_plan(p), np.zeros(0, np.int64), met)
     out = []
-    jobs = spark_jobs(
-        lambda: out.append(run_rmeef(gc_dblp, p, choose_plan(p), np.zeros(0, np.int64), met))
-    )
+    jobs = spark_jobs(lambda: out.append(per_machine(gc_dblp, [phase], p.n)))
     assert jobs == 0
     assert out[0].columns == [_c(u) for u in range(p.n)]
     assert out[0].count() == 0

@@ -8,9 +8,9 @@ import pytest
 
 from repro.core.engine import run_rads
 from repro.core.metrics import RunMetrics
-from repro.core.regions import region_groups
-from repro.core.rmeef import run_rmeef
-from repro.core.sme import MachineJob, candidate_split, per_machine, sme_enumerate
+from repro.core.regions import greedy_region_groups
+from repro.core.rmeef import rmeef_phase
+from repro.core.sme import candidate_split, per_machine, sme_phase
 from repro.oracle import assert_equivalent
 from repro.query.plan import choose_plan, random_minround_plan, random_star_plan
 from repro.query.queries import ALL_QUERIES, QUERIES
@@ -63,17 +63,10 @@ def test_rads_without_sme_same_answer(gc_dblp, qn):
     c1, rest = candidate_split(gc_dblp, p, plan.units[0].piv)
     assert len(c1) > 0
     met = RunMetrics("rads", qn, gc_dblp.name)
-    df = run_rmeef(gc_dblp, p, plan, np.union1d(c1, rest), met)
+    df = per_machine(gc_dblp, [rmeef_phase(p, plan, np.union1d(c1, rest), met)], p.n)
     assert not met.failed, met.fail_reason
     assert_equivalent(df, pattern_sql(p), edges=gc_dblp.edges_pdf)
     assert met.extras["dist_embeddings"] == df.count() > 0
-
-
-class _HeldJob(MachineJob):
-    """Keeps the phases queued instead of running them."""
-
-    def run(self):
-        return None
 
 
 def test_two_phase_job_equals_one_phase_jobs(gc_dblp):
@@ -85,19 +78,20 @@ def test_two_phase_job_equals_one_phase_jobs(gc_dblp):
     c1, rest = candidate_split(gc_dblp, p, plan.units[0].piv)
     assert len(c1) > 0 and len(rest) > 0
     met = RunMetrics("rads", "q2", gc_dblp.name)
-    held = _HeldJob(gc_dblp, p.n)
-    assert sme_enumerate(gc_dblp, p, plan, c1, met, held, flush=False) is None
-    assert run_rmeef(gc_dblp, p, plan, rest, met, job=held) is None
-    phases = [(v, task) for v, task, _ in held.phases]
-    assert [len(v) for v, _ in phases] == [len(c1), len(rest)]
+    phases = [sme_phase(p, plan, c1, met), rmeef_phase(p, plan, rest, met)]
 
-    both, records = per_machine(gc_dblp, phases, p.n)
-    sme, (sme_records,) = per_machine(gc_dblp, phases[:1], p.n)
-    dist, (dist_records,) = per_machine(gc_dblp, phases[1:], p.n)
+    def run(phases):
+        """The job's embeddings and each phase's records."""
+        records = [[] for _ in phases]
+        df = per_machine(gc_dblp, [(v, task, r.extend) for (v, task, _), r in zip(phases, records)], p.n)
+        return df, records
+
+    both, records = run(phases)
+    sme, (sme_records,) = run(phases[:1])
+    dist, (dist_records,) = run(phases[1:])
     rows = sorted(map(tuple, both.collect()))
     assert rows == sorted(map(tuple, sme.collect() + dist.collect()))
     assert len(rows) == len(set(rows)) > 0
-    assert len(records) == 2
     assert Counter(records[0]) == Counter(sme_records) and sme_records
     assert Counter(records[1]) == Counter(dist_records) and dist_records
 
@@ -126,14 +120,15 @@ def test_rmeef_grouped_meter_equals_per_group_runs(gc_dblp):
     A = gc_dblp.adjacency.value
     owner = gc_dblp.owner_np[start]
     groups = {
-        m: region_groups(A.local(m), np.sort(start[owner == m]), 8, seed=m)
+        m: greedy_region_groups(A.local(m), start[owner == m], 8, seed=m)
         for m in range(gc_dblp.n_machines)
     }
     assert sum(map(len, groups.values())) > gc_dblp.n_machines
 
     def meter(start, max_group_size=None):
         met = RunMetrics("rads", "q5", gc_dblp.name)
-        assert run_rmeef(gc_dblp, p, plan, start, met, max_group_size=max_group_size) is not None
+        per_machine(gc_dblp, [rmeef_phase(p, plan, start, met, max_group_size=max_group_size)], p.n)
+        assert not met.failed, met.fail_reason
         return met
 
     whole = meter(start, 8)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.expand import expand_rounds
 from repro.core.metrics import RunMetrics
-from repro.core.sme import candidate_split, sme_enumerate
+from repro.core.sme import candidate_split, per_machine, sme_phase
 from repro.graphs.datasets import Adjacency, build_context
 from repro.query.pattern import Pattern, count_injective_homomorphisms
 from repro.query.plan import choose_plan
@@ -161,7 +161,7 @@ def test_sme_embeddings_are_fully_local(request, fixture):
     pl = choose_plan(p)
     c1, _ = candidate_split(gc, p, pl.units[0].piv)
     met = RunMetrics("rads", "q1", gc.name)
-    rows = sme_enumerate(gc, p, pl, c1, met).collect()
+    rows = per_machine(gc, [sme_phase(p, pl, c1, met)], p.n).collect()
     assert len(rows) == met.extras["sme_embeddings"]
     # hash partitioning leaves no tiny-DBLP vertex far from a border
     assert (len(rows) > 0) == (fixture != "gc_dblp_hash")
