@@ -122,7 +122,8 @@ once every join against the edge table was a broadcast join and 21
 once RADS's replicated bookkeeping moved to the driver). Each
 machine's RADS work now runs inside a Spark task over the broadcast
 graph, so one RADS call issues 1–2 jobs (SM-E's and R-Meef's phases
-share one unless Φ's group cap needs SM-E's count first), against
+share one unless Φ's group cap may bind and so needs SM-E's count
+first), against
 17–20 for a whole baseline run, and on the `radsbench` workloads a RADS query takes
 1.0–1.1× the time of the fastest baseline's (3.3–4.8× before). The
 baselines' real cost — moving and materializing huge intermediates

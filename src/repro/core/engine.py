@@ -11,19 +11,23 @@ broadcast adjacency: SM-E over the C1 candidates, then Algorithm 3 and
 every R-Meef round over the rest, both with one numpy kernel,
 ``core.expand.expand_rounds``. ``sme_phase`` and ``rmeef_phase`` build
 the two phases and ``run_rads`` hands them to ``sme.per_machine``. Only
-Φ's group cap reads SM-E's output, so a warm call runs one Spark job
-with both phases, whatever the round count, and two when Φ is set:
-SM-E's job first (none when C1 is empty), then R-Meef's. Each job is
-one driver action, a checkpoint; the tasks' meter records return
-through an accumulator. The candidate split, Φ's group cap, the
+Φ's group cap reads SM-E's output, and Algorithm 3's groups are the
+same under every cap at or above a machine's share of the start
+candidates. So a warm call runs one Spark job with both phases, whatever
+the round count, unless Φ is set and its cap at a driver-side bound on
+SM-E's count (:func:`sme_rows_bound`) falls below the largest share:
+then SM-E's job runs first (none when C1 is empty), and R-Meef's after.
+Each job is one driver action, a checkpoint; the tasks' meter records
+return through an accumulator. The candidate split, Φ's group cap, the
 metering and the embedding count are bookkeeping on the driver: the
-split reads the graph's replicated degree and border-distance arrays,
-and the rest comes from the meter records.
+split and the bound read the graph's replicated degree, owner and
+border-distance arrays, and the rest comes from the meter records.
 """
 from __future__ import annotations
 
 import time
 
+import numpy as np
 from pyspark.sql import DataFrame
 
 from repro.core.emtrie import list_bytes
@@ -33,6 +37,26 @@ from repro.core.sme import candidate_split, per_machine, sme_phase
 from repro.graphs.datasets import GraphContext
 from repro.query.pattern import Pattern
 from repro.query.plan import Plan, choose_plan
+
+
+def group_cap(phi: int, sme_rows: int, n_c1: int, n: int) -> int:
+    """Φ's region-group cap: Φ / (estimated rows per candidate × pattern
+    size), the rows per candidate being SM-E's ``sme_rows`` over its
+    ``n_c1`` candidates, at least 1. It never grows with ``sme_rows``."""
+    est_rows = max(1.0, sme_rows / max(1, n_c1))
+    return max(1, int(phi // (est_rows * n * VERTEX_BYTES)))
+
+
+def sme_rows_bound(gc: GraphContext, plan: Plan, c1: np.ndarray) -> int:
+    """An upper bound on SM-E's embedding count over the C1 vertices
+    ``c1``, from the replicated degrees alone: Σ_{v∈C1} deg(v)^|L₀| ·
+    Δ^(n−1−|L₀|). The kernel draws every leaf from its unit's pivot's
+    adjacency: the start vertex's for the |L₀| leaves of unit 0, and
+    for each other leaf one of at most Δ, the graph's largest degree."""
+    k0 = len(plan.units[0].leaves)
+    deg, count = np.unique(gc.deg_np[c1], return_counts=True)
+    rows = sum(int(c) * int(d) ** k0 for d, c in zip(deg, count))
+    return rows * int(gc.deg_np.max(initial=0)) ** (plan.pattern.n - 1 - k0)
 
 
 def run_rads(
@@ -67,15 +91,27 @@ def run_rads(
     if group_mem_bytes is None:  # one region group per machine
         out = per_machine(gc, [sme, rmeef_phase(pattern, plan, rest, metrics, **kw)], pattern.n)
     else:
-        # Φ's group cap needs SM-E's embedding count, so SM-E's job runs
-        # first: Φ / (estimated rows per candidate × pattern size)
-        sme_df = per_machine(gc, [sme], pattern.n)
-        est_rows = max(1.0, metrics.extras["sme_embeddings"] / max(1, len(c1)))
-        per_cand_bytes = est_rows * pattern.n * VERTEX_BYTES
-        max_group = max(1, int(group_mem_bytes // per_cand_bytes))
-        metrics.extras["max_group_size"] = max_group
-        dist = rmeef_phase(pattern, plan, rest, metrics, max_group_size=max_group, **kw)
-        out = sme_df.unionByName(per_machine(gc, [dist], pattern.n))
+        # the cap falls as SM-E's count grows, and a cap at or above a
+        # machine's share of ``rest`` gives Algorithm 3 the same groups:
+        # if the cap at the bound reaches every share, R-Meef's groups
+        # are known before SM-E runs, and the phases share one job
+        def cap(sme_rows: int) -> int:
+            return group_cap(group_mem_bytes, sme_rows, len(c1), pattern.n)
+
+        bound = sme_rows_bound(gc, plan, c1)
+        share = int(np.bincount(gc.owner_np[rest]).max(initial=0))
+        if cap(bound) >= share:
+            dist = rmeef_phase(pattern, plan, rest, metrics, max_group_size=cap(bound), **kw)
+            out = per_machine(gc, [sme, dist], pattern.n)
+        else:  # the cap may bind, so it needs SM-E's count first
+            sme_df = per_machine(gc, [sme], pattern.n)
+            max_group = cap(metrics.extras["sme_embeddings"])
+            dist = rmeef_phase(pattern, plan, rest, metrics, max_group_size=max_group, **kw)
+            out = sme_df.unionByName(per_machine(gc, [dist], pattern.n))
+        sme_rows = metrics.extras["sme_embeddings"]
+        if sme_rows > bound:
+            raise RuntimeError(f"SM-E found {sme_rows} embeddings, over the degree bound {bound}")
+        metrics.extras["max_group_size"] = cap(sme_rows)
     if metrics.failed:
         metrics.elapsed_s = time.perf_counter() - t0
         return None, metrics

@@ -11,7 +11,9 @@ the engine estimates a candidate's cost as its embedding-list cost —
 SM-E embeddings per C1 candidate (at least 1) × n query vertices × 8 B —
 and divides Φ by it. The paper's estimator is the average
 embedding-*trie* cost of the local embeddings; the list cost stands in
-for it.
+for it. A cap at or above a machine's candidate count never stops a
+group from growing, so every such cap gives that machine the same
+groups.
 
 Each machine groups its own candidates over its local adjacency, before
 any communication happens: R-Meef's per-machine task calls

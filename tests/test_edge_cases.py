@@ -12,9 +12,12 @@ from repro.baselines.psgl import run_psgl
 from repro.baselines.seed import run_seed
 from repro.baselines.twintwig import run_twintwig
 from repro.core.engine import run_rads
-from repro.graphs.datasets import build_context
+from repro.core.sme import candidate_split
+from repro.graphs.datasets import build_context, make_context
 from repro.oracle import assert_equivalent
 from repro.query.pattern import Pattern
+from repro.query.plan import choose_plan
+from repro.query.queries import QUERIES
 from repro.sqlgen import pattern_sql
 
 # triangle 0-1-2 with tail 2-3; 4-cycle 4-5-6-7; vertices 8, 9 isolated
@@ -117,9 +120,9 @@ def test_rads_with_empty_rest_matches_oracle(gc_all_local, pname, phi):
 
 @pytest.mark.parametrize("phi", [None, 64])
 def test_rads_with_empty_rest_runs_one_job(gc_all_local, spark_jobs, phi):
-    """SM-E's job is the only one: with Φ it runs first, for the group
-    cap, and R-Meef then has no start vertex; without, R-Meef's phase
-    shares the job and no machine runs it."""
+    """SM-E's job is the only one: R-Meef's phase shares it, and no
+    machine runs it. With Φ, no machine has a share of R-Meef's start
+    for the group cap to bind."""
     jobs = spark_jobs(lambda: run_rads(gc_all_local, PATTERNS["triangle"], group_mem_bytes=phi))
     assert jobs == 1
 
@@ -152,4 +155,31 @@ def test_rads_with_phi_and_empty_c1_runs_one_job(gc_all_border, spark_jobs):
     assert met.extras["c1_candidates"] == 0
     assert_equivalent(df, pattern_sql(p), edges=gc_all_border.edges_pdf)
     assert met.n_embeddings == 2
+    assert jobs == 1
+
+
+@pytest.fixture(scope="module", params=["bfs", "hash"])
+def gc_one_machine(spark_tuned, request):
+    gc = make_context(spark_tuned, "dblp", "tiny", m=1, partitioner=request.param)
+    yield gc
+    gc.unpersist()
+
+
+@pytest.mark.parametrize("phi", [None, 4000])
+@pytest.mark.parametrize("qn", ["q1", "q5"])
+def test_rads_on_one_machine(gc_one_machine, spark_jobs, qn, phi):
+    """m = 1: there is no border, so every start candidate is in C1, SM-E
+    finds the whole answer in one job and nothing is communicated."""
+    gc, p = gc_one_machine, QUERIES[qn]
+    c1, rest = candidate_split(gc, p, choose_plan(p).units[0].piv)
+    assert len(c1) > 0 and len(rest) == 0
+    out = []
+    jobs = spark_jobs(lambda: out.append(run_rads(gc, p, qn, group_mem_bytes=phi)))
+    df, met = out[0]
+    assert not met.failed, met.fail_reason
+    assert_equivalent(df, pattern_sql(p), edges=gc.edges_pdf)
+    assert met.extras["c1_candidates"] == len(c1)
+    assert met.n_embeddings == met.extras["sme_embeddings"] > 0
+    assert met.comm_breakdown.get("fetchV", 0) == 0
+    assert met.comm_breakdown.get("verifyE", 0) == 0
     assert jobs == 1

@@ -3,7 +3,8 @@ join against it is a broadcast hash join. The tests run with
 ``autoBroadcastJoinThreshold = -1``, so a join that loses its broadcast
 hint falls back to a sort-merge join and fails here. RADS runs each
 machine's work as one task over the broadcast adjacency, so a call
-issues the same one or two Spark actions whatever its round count."""
+issues the same Spark actions whatever its round count: one, or two
+when Φ's region-group cap may bind and needs SM-E's count first."""
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
@@ -71,7 +72,10 @@ def test_rads_actions_do_not_grow_with_rounds(gc_dblp, monkeypatch, qn, rounds):
     """One checkpoint per Spark job, whatever the round count: the rounds
     run inside the machines' tasks and the meter records return through
     an accumulator. SM-E and R-Meef share one job, unless Φ's group cap
-    needs SM-E's embedding count first: then SM-E's job runs before."""
+    may bind: then SM-E's job runs first, for its embedding count. At
+    Φ = 4000 B the cap binds; at 16 MB the degree bound on SM-E's count
+    proves that it cannot for q1, but not for q5 and q6, whose 5- and
+    6-vertex bounds are over 100× SM-E's count."""
     assert choose_plan(QUERIES[qn]).rounds == rounds
     DF = type(gc_dblp.edges)
     actions = []
@@ -87,7 +91,11 @@ def test_rads_actions_do_not_grow_with_rounds(gc_dblp, monkeypatch, qn, rounds):
 
     for name in ACTIONS:
         monkeypatch.setattr(DF, name, logged(name))
-    for phi, expected in [(None, ["localCheckpoint"]), (4000, ["localCheckpoint"] * 2)]:
+    for phi, expected in [
+        (None, ["localCheckpoint"]),
+        (4000, ["localCheckpoint"] * 2),
+        (16 << 20, ["localCheckpoint"] * {"q1": 1, "q5": 2, "q6": 2}[qn]),
+    ]:
         actions.clear()
         _, met = run_rads(gc_dblp, QUERIES[qn], qn, group_mem_bytes=phi)
         assert not met.failed

@@ -6,11 +6,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core.engine import run_rads
+from repro.core.engine import group_cap, run_rads, sme_rows_bound
 from repro.core.metrics import RunMetrics
 from repro.core.regions import greedy_region_groups
 from repro.core.rmeef import rmeef_phase
 from repro.core.sme import candidate_split, per_machine, sme_phase
+from repro.graphs.datasets import make_context
 from repro.oracle import assert_equivalent
 from repro.query.plan import choose_plan, random_minround_plan, random_star_plan
 from repro.query.queries import ALL_QUERIES, QUERIES
@@ -94,6 +95,87 @@ def test_two_phase_job_equals_one_phase_jobs(gc_dblp):
     assert len(rows) == len(set(rows)) > 0
     assert Counter(records[0]) == Counter(sme_records) and sme_records
     assert Counter(records[1]) == Counter(dist_records) and dist_records
+
+
+#: Φ as the radsbench budgeted workload sets it: its 128 MB budget / 8
+PHI_16MB = 16 << 20
+
+
+@pytest.mark.parametrize("qn", ["q1", "q2"])
+def test_phi_one_job_meters_as_sme_first(gc_dblp, spark_jobs, qn):
+    """With Φ set and its cap at the degree bound on SM-E's count above
+    every machine's share, SM-E and R-Meef share one job, and it finds
+    and meters what SM-E's job and then R-Meef's with the exact cap do:
+    a cap at or above a machine's share groups as every other does."""
+    p = QUERIES[qn]
+    plan = choose_plan(p)
+    c1, rest = candidate_split(gc_dblp, p, plan.units[0].piv)
+    assert len(c1) > 0 and len(rest) > 0
+    out = []
+    jobs = spark_jobs(lambda: out.append(run_rads(gc_dblp, p, qn, group_mem_bytes=PHI_16MB)))
+    df, met = out[0]
+    assert jobs == 1
+    assert not met.failed, met.fail_reason
+
+    hand = RunMetrics("rads", qn, gc_dblp.name)
+    sme = per_machine(gc_dblp, [sme_phase(p, plan, c1, hand)], p.n)
+    cap = group_cap(PHI_16MB, hand.extras["sme_embeddings"], len(c1), p.n)
+    dist = per_machine(gc_dblp, [rmeef_phase(p, plan, rest, hand, max_group_size=cap)], p.n)
+    # the one job ran under a smaller cap than the exact one
+    bound_cap = group_cap(PHI_16MB, sme_rows_bound(gc_dblp, plan, c1), len(c1), p.n)
+    assert bound_cap < cap
+    assert sorted(map(tuple, df.collect())) == sorted(map(tuple, sme.collect() + dist.collect()))
+    assert met.n_embeddings == hand.extras["sme_embeddings"] + hand.extras["dist_embeddings"]
+    assert met.comm_breakdown == hand.comm_breakdown
+    assert met.peak_intermediate_bytes == hand.peak_intermediate_bytes
+    for key in ("peak_group_trie_bytes", "n_region_groups"):
+        assert met.extras[key] == hand.extras[key], key
+    assert met.extras["max_group_size"] == cap
+
+
+#: every tiny dataset's context, as (fixture, dataset, machines)
+CONTEXTS = [
+    ("gc_dblp", "dblp", 3), ("gc_road", "roadnet", 4),
+    ("gc_lj", "livejournal", 3), ("gc_uk", "uk2002", 3),
+]
+
+
+@pytest.fixture(scope="module", params=[(c, part) for c in CONTEXTS for part in ("bfs", "hash")],
+                ids=lambda c: f"{c[0][1]}-{c[1]}")
+def gc_tiny(request, spark_tuned):
+    """Each tiny dataset under each partitioner."""
+    (fixture, dataset, m), part = request.param
+    if part == "bfs":
+        yield request.getfixturevalue(fixture)
+    else:
+        gc = make_context(spark_tuned, dataset, "tiny", m=m, partitioner="hash")
+        yield gc
+        gc.unpersist()
+
+
+@pytest.mark.parametrize("qn", [f"q{i}" for i in range(1, 9)])
+def test_sme_rows_bound_holds_and_picks_the_path(gc_tiny, monkeypatch, qn):
+    """The driver's degree bound is at least SM-E's count, and RADS under
+    Φ runs both phases in one ``per_machine`` call exactly when Φ's cap
+    at that bound reaches every machine's share of R-Meef's start."""
+    phi = 4000
+    p = QUERIES[qn]
+    plan = choose_plan(p)
+    c1, rest = candidate_split(gc_tiny, p, plan.units[0].piv)
+    bound = sme_rows_bound(gc_tiny, plan, c1)
+    share = int(np.bincount(gc_tiny.owner_np[rest]).max(initial=0))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return per_machine(*args)
+
+    monkeypatch.setattr("repro.core.engine.per_machine", counted)
+    _, met = run_rads(gc_tiny, p, qn, group_mem_bytes=phi)
+    assert not met.failed, met.fail_reason
+    assert bound >= met.extras["sme_embeddings"]
+    one_job = group_cap(phi, bound, len(c1), p.n) >= share
+    assert len(calls) == (1 if one_job else 2)
 
 
 @pytest.mark.parametrize("qn", ["q1", "q4"])
